@@ -73,7 +73,7 @@ type CheckpointState struct {
 }
 
 // CheckpointSink consumes periodic checkpoints. Checkpoint is called on
-// PE 0's goroutine while every other PE is parked at a barrier, so the
+// PE 0's goroutine while every other PE is blocked at a barrier, so the
 // state is quiescent for the duration of the call; an error poisons the
 // run (it surfaces from Run on every PE). The sink must not retain cs or
 // anything reachable from it after returning.
@@ -97,20 +97,18 @@ func (s *Simulator) SetCheckpoint(sink CheckpointSink, everyRounds int) {
 	s.ckptEvery = int64(everyRounds)
 }
 
-// checkpointDue is PE 0's per-round arming decision, made while it owns the
-// round (between gvtRound's barriers, or in completeRound). Checkpoints at
-// estimate 0 are skipped — there is nothing committed to capture — and a
-// finishing round never checkpoints (the run is about to produce its final
-// state anyway).
+// checkpointDue is PE 0's per-round arming decision, made while it holds
+// the returned token in completeRound. Checkpoints at estimate 0 are
+// skipped — there is nothing committed to capture — and a finishing round
+// never checkpoints (the run is about to produce its final state anyway).
 func (s *Simulator) checkpointDue(round int64, est Time) bool {
 	return s.ckptSink != nil && est > 0 && est < s.cfg.EndTime &&
 		round-s.ckptLastRound >= s.ckptEvery
 }
 
 // checkpointRendezvous is the all-PE capture protocol, entered by every PE
-// in the same GVT round (barrier mode: the ckptDue flag published inside
-// the round; async mode: the ckptPending flag set by completeRound). gvt is
-// the current published estimate, stable for the duration — only PE 0
+// after the same GVT round (the ckptPending flag set by completeRound). gvt
+// is the current published estimate, stable for the duration — only PE 0
 // advances it and PE 0 is in here.
 func (pe *PE) checkpointRendezvous(gvt Time) error {
 	s := pe.sim
@@ -120,14 +118,14 @@ func (pe *PE) checkpointRendezvous(gvt Time) error {
 	if err := pe.commsFixedPoint(); err != nil {
 		return err
 	}
-	// Commit everything below the estimate (idempotent where a mode already
-	// collected this round), then unwind everything at or beyond it. The
+	// Commit everything below the estimate (idempotent where gvtPass already
+	// collected against it), then unwind everything at or beyond it. The
 	// rollback key sorts before every real event at time gvt, so each KP's
 	// whole speculative suffix re-pends and its sends are cancelled; KPs end
 	// empty (live() == 0, hasLast false), LP states/RNGs/sequences end at
 	// their committed values.
 	pe.fossilCollect(gvt)
-	if s.async && gvt > pe.lastFossil {
+	if gvt > pe.lastFossil {
 		pe.lastFossil = gvt
 	}
 	key := eventKey{recvTime: gvt, dst: -1 << 31, src: -1 << 31}
@@ -144,7 +142,6 @@ func (pe *PE) checkpointRendezvous(gvt Time) error {
 	}
 	if pe.id == 0 {
 		err := s.captureCheckpoint(gvt)
-		s.ckptDue = false
 		s.ckptPending.Store(false)
 		s.ckptLastRound = s.gvtRounds.Load()
 		if err != nil {

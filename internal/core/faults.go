@@ -28,9 +28,9 @@ type Faults struct {
 	// a random local KP is unwound through the full reverse-computation
 	// path and re-executed. This manufactures rollback volume even in
 	// configurations (one PE, generous batches) that would never roll back
-	// naturally. Under async GVT the suffix is clamped to events at or
-	// above the PE's last token contribution — unwinding below it would
-	// violate the promise the circulating round was built on.
+	// naturally. The suffix is clamped to events at or above the PE's
+	// last token contribution — unwinding below it would violate the
+	// promise the circulating round was built on.
 	RollbackEvery int
 	// RollbackDepth bounds how many events one forced rollback unwinds
 	// (uniform in [1, RollbackDepth]; 0 or 1 means exactly one event). The
@@ -198,23 +198,19 @@ func (pe *PE) maybeForceRollback(executed int) {
 	if live := kp.live(); depth > live {
 		depth = live
 	}
-	if pe.sim.async {
-		// A token visit promised that nothing this PE can still affect
-		// lies below its folded contribution, and the round publishes an
-		// estimate other PEs fossil-collect against. Natural rollbacks
-		// keep the promise by causality — they are triggered by mail the
-		// sender's coverage ledger already folded in — but a spontaneous
-		// unwind of processed events below the promise would emit
-		// anti-messages under the published floor, cancelling events
-		// already committed and recycled. Clamp the suffix to events
-		// at or above the last contribution. (Barrier rounds are
-		// quiescent: no injection interleaves with a cut, so no clamp.)
-		for depth > 0 && kp.processed[len(kp.processed)-depth].recvTime < pe.lastContrib {
-			depth--
-		}
-		if depth == 0 {
-			return
-		}
+	// A token visit promised that nothing this PE can still affect lies
+	// below its folded contribution, and the round publishes an estimate
+	// other PEs fossil-collect against. Natural rollbacks keep the promise
+	// by causality — they are triggered by mail the sender's coverage
+	// ledger already folded in — but a spontaneous unwind of processed
+	// events below the promise would emit anti-messages under the published
+	// floor, cancelling events already committed and recycled. Clamp the
+	// suffix to events at or above the last contribution.
+	for depth > 0 && kp.processed[len(kp.processed)-depth].recvTime < pe.lastContrib {
+		depth--
+	}
+	if depth == 0 {
+		return
 	}
 	key := kp.processed[len(kp.processed)-depth].key()
 	n := pe.rollback(kp, key)

@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// This file is the asynchronous GVT: a Mattern-style token circulating
-// PE 0 → 1 → … → N-1 → PE 0. No PE ever blocks on a barrier — each keeps
-// executing, learns new estimates from the published GVT word, and
-// fossil-collects on its own schedule. The synchronous barrier algorithm
-// (gvt.go) remains selectable via Config.GVTMode so the two can be
-// verified against each other.
+// This file is the kernel's GVT algorithm: a Mattern-style asynchronous
+// token circulating PE 0 → 1 → … → N-1 → PE 0. No PE ever blocks on a
+// barrier — each keeps executing, learns new estimates from the published
+// GVT word, and fossil-collects on its own schedule. The only all-PE
+// rendezvous (gvt.go's barrier and comms fixed point) are the checkpoint
+// capture and the shutdown drain.
 //
 // # Transient messages: sender-side coverage
 //
@@ -97,15 +97,15 @@ type outEpoch struct {
 // this just keeps the worst case tidy.
 const maxEpochs = 8
 
-// asyncPass is the per-pass GVT step of the async engine, called from the
-// run loop after every drain/flush. It is the whole algorithm from one PE's
-// view: notice termination, fossil-collect up to any newly published
-// estimate, and move the token along if we hold it. Returns done=true when
-// the run is over and this PE has committed everything.
-func (pe *PE) asyncPass() (bool, error) {
+// gvtPass is the per-pass GVT step, called from the run loop after every
+// drain/flush. It is the whole algorithm from one PE's view: notice
+// termination, fossil-collect up to any newly published estimate, and move
+// the token along if we hold it. Returns done=true when the run is over and
+// this PE has committed everything.
+func (pe *PE) gvtPass() (bool, error) {
 	s := pe.sim
 	if s.finished.Load() {
-		return true, pe.asyncShutdown()
+		return true, pe.shutdown()
 	}
 	if gvt := s.GVT(); gvt > pe.lastFossil {
 		pe.lastFossil = gvt
@@ -118,17 +118,7 @@ func (pe *PE) asyncPass() (bool, error) {
 		}
 	}
 	if n := s.gvtRounds.Load(); n != pe.obsRound {
-		// Once per completed round: refill the speculation quota and feed
-		// the optimism controller. The controller observes rounds, not GVT
-		// advances: rounds complete even while the estimate is pinned, and
-		// a rollback storm pins it — narrowing the window is exactly what
-		// un-pins it, so gating the controller on advances would deadlock
-		// its own feedback loop.
-		pe.obsRound = n
-		pe.sinceGVT = 0
-		if pe.opt != nil {
-			pe.opt.observe(pe.processed, pe.rolledBackEvents)
-		}
+		pe.observeRound(n)
 	}
 	if s.ckptPending.Load() {
 		// A completed round armed a checkpoint: rendezvous before anything
@@ -143,6 +133,21 @@ func (pe *PE) asyncPass() (bool, error) {
 		pe.tokenPass()
 	}
 	return false, nil
+}
+
+// observeRound runs once per completed round count n a PE sees: refill the
+// speculation quota and feed the optimism controller. Counting each n once
+// is what bounds a PE's executions by (rounds+1) quotas plus a batch each.
+// The controller observes rounds, not GVT advances: rounds complete even
+// while the estimate is pinned, and a rollback storm pins it — narrowing
+// the window is exactly what un-pins it, so gating the controller on
+// advances would deadlock its own feedback loop.
+func (pe *PE) observeRound(n int64) {
+	pe.obsRound = n
+	pe.sinceGVT = 0
+	if pe.opt != nil {
+		pe.opt.observe(pe.processed, pe.rolledBackEvents)
+	}
 }
 
 // tokenPass advances the token while this PE holds it: complete a returned
@@ -281,13 +286,13 @@ func (pe *PE) completeRound(est Time) {
 		rec.GVTRound(n, est)
 	}
 	s.gvtRequested.Store(false)
-	pe.sinceGVT = 0
+	pe.observeRound(n)
 	pe.gvtLatency += time.Since(pe.roundStart)
 	if est >= s.cfg.EndTime {
 		s.finished.Store(true)
 		s.wakeAll()
 	} else if s.checkpointDue(n, est) {
-		// Arm the checkpoint rendezvous: every PE's next asyncPass — PE 0's
+		// Arm the checkpoint rendezvous: every PE's next gvtPass — PE 0's
 		// included, before it can launch another round — routes into it.
 		// The wake covers parked PEs, and park's recheck keeps anyone from
 		// sleeping through the flag.
@@ -300,17 +305,18 @@ func (pe *PE) completeRound(est Time) {
 	}
 }
 
-// asyncShutdown is the async engine's termination path. The final estimate
-// proved no rollback can reach below the end time, but mail at or beyond
-// it may still sit in lanes and outboxes; one barrier-synchronized drain to
-// the sent==delivered fixed point (the only barrier the async mode ever
-// takes, and the machine is done — nothing is stalled by it) parks that
+// shutdown is the termination path. The final estimate proved no rollback
+// can reach below the end time, but mail at or beyond it may still sit in
+// lanes and outboxes; one barrier-synchronized drain to the sent==delivered
+// fixed point (the machine is done, so nothing is stalled by it) parks that
 // mail in pending queues so the comms conservation invariants hold at
 // exit, then the unconditional final fossil collection commits everything
 // processed. Drained events here are all at or beyond the end time: they
 // insert as pending (never executing, never rolling anything back) and
 // their anti-messages cancel pending events — no new speculation occurs.
-func (pe *PE) asyncShutdown() error {
+// A failed run (Simulator.fail) also lands here, and the poisoned barrier
+// returns its error.
+func (pe *PE) shutdown() error {
 	s := pe.sim
 	if err := pe.commsFixedPoint(); err != nil {
 		return err

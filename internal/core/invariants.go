@@ -3,15 +3,16 @@ package core
 import "fmt"
 
 // This file implements the kernel's paranoid mode: structural invariant
-// checks that run at every GVT round, when all PEs are quiescent and no
-// message is in flight. The checks are aimed at model authors — a Reverse
-// handler that fails to restore state, or a handler that mutates another
-// LP's state directly, surfaces here as a precise error instead of a
-// mysteriously wrong statistic at the end of the run.
+// checks that run on each PE after every fossil collection against a new
+// GVT estimate, and comms-quiescence checks at every all-PE rendezvous.
+// The checks are aimed at model authors — a Reverse handler that fails to
+// restore state, or a handler that mutates another LP's state directly,
+// surfaces here as a precise error instead of a mysteriously wrong
+// statistic at the end of the run.
 
-// checkInvariants validates this PE's structures. Called between GVT
-// barriers (quiescent), after fossil collection, with the just-computed
-// GVT.
+// checkInvariants validates this PE's structures. Called on the owning PE
+// after fossil collection, with the estimate it collected against; it
+// touches only PE-owned state, so the other PEs may keep running.
 func (pe *PE) checkInvariants(gvt Time) error {
 	// The pressure valve's gauge must agree with ground truth: liveEvents
 	// is maintained incrementally (execute, rollback, fossil collection)
@@ -84,12 +85,12 @@ func (pe *PE) checkInvariants(gvt Time) error {
 }
 
 // checkQuiescentComms validates that this PE's communication state is
-// empty at the GVT fixed point: the stability loop has force-flushed every
-// outbox and drained every lane (sent == delivered), so anything left
-// behind is mail the GVT estimate failed to account for. Unlike
-// checkInvariants it must run *inside* the GVT round, right after the
-// stability loop breaks — after the round's final barrier other PEs resume
-// executing and may legitimately refill this PE's lanes.
+// empty at the comms fixed point: the stability loop has force-flushed
+// every outbox and drained every lane (sent == delivered), so anything
+// left behind is mail the accounting failed to see. Unlike checkInvariants
+// it must run *inside* the rendezvous, right after the stability loop
+// breaks — after the final barrier other PEs resume executing and may
+// legitimately refill this PE's lanes.
 func (pe *PE) checkQuiescentComms() error {
 	for i := range pe.lanes {
 		if !pe.lanes[i].isEmpty() {

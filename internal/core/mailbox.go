@@ -153,14 +153,12 @@ func (pe *PE) post(dst *PE, msg mail) {
 	}
 	ob.bufs[d] = append(ob.bufs[d], msg)
 	pe.mailSent++
-	if pe.sim.async {
-		// Token-GVT sender coverage: the open epoch's minimum receive time
-		// for this destination (see gvt_async.go). An anti-message carries
-		// its target's receive time, which bounds everything the
-		// cancellation can cause.
-		if t := msg.ev.recvTime; t < pe.outMin[d] {
-			pe.outMin[d] = t
-		}
+	// Token-GVT sender coverage: the open epoch's minimum receive time for
+	// this destination (see gvt_async.go). An anti-message carries its
+	// target's receive time, which bounds everything the cancellation can
+	// cause.
+	if t := msg.ev.recvTime; t < pe.outMin[d] {
+		pe.outMin[d] = t
 	}
 	if len(ob.bufs[d]) >= eagerFlushLen &&
 		(pe.faults == nil || pe.faults.plan.MailBurst == 0) {
@@ -198,11 +196,11 @@ func (pe *PE) flushDst(d int) {
 
 // flushMail pushes every dirty outbox batch into the destination's lane for
 // this sender. When a lane is full, the unsent suffix stays in the outbox —
-// in order — and is retried on the next pass or the next GVT stability
+// in order — and is retried on the next pass or the next fixed-point
 // iteration; the sender never spins on a full lane, which matters because
-// the consumer may itself be blocked at a GVT barrier waiting for this PE.
-// force bypasses the MailBurst fault's hold (the GVT stability loop must
-// always flush, or held mail could outlive the round that needs it).
+// the consumer may itself be blocked at a rendezvous barrier waiting for
+// this PE. force bypasses the MailBurst fault's hold (the comms fixed point
+// must always flush, or held mail would keep it from ever converging).
 func (pe *PE) flushMail(force bool) {
 	ob := &pe.outbox
 	if len(ob.dirty) == 0 {
@@ -286,7 +284,8 @@ func (pe *PE) hasInbound() bool {
 // park; the buffered channel makes the token-send non-blocking, and a stale
 // token (left when the parking PE bailed out in its recheck) only causes a
 // benign spurious wake. Callers: flushMail after landing mail in a lane,
-// requestGVT (a parked PE must join the barrier), and fail.
+// requestGVT (PE 0 must launch the token), forwardToken, completeRound and
+// fail.
 func (pe *PE) wake() {
 	if pe.parked.CompareAndSwap(true, false) {
 		pe.wakes.Add(1)
@@ -310,18 +309,15 @@ func (s *Simulator) wakeAll() {
 // observes parked=true after its lane push and wakes us, or pushed before
 // our store — in which case hasInbound sees its mail (the push's tail store
 // and our parked store are both sequentially consistent). The same argument
-// covers the async token: forwardToken stores the holder and then wakes the
+// covers the GVT token: forwardToken stores the holder and then wakes the
 // successor, so either the wake finds us parked or our recheck sees the
 // holder store and bails — a PE can never sleep while holding the token.
-// In barrier mode the run loop additionally only calls park after a GVT
-// round has come and gone with this PE continuously idle, which proves no
-// mail was in flight toward it when it went idle.
 func (pe *PE) park() {
 	s := pe.sim
 	pe.parked.Store(true)
 	if pe.hasInbound() || len(pe.outbox.dirty) > 0 ||
 		s.gvtRequested.Load() || s.finished.Load() || s.ckptPending.Load() ||
-		(s.async && s.token.holder.Load() == int64(pe.id)) {
+		s.token.holder.Load() == int64(pe.id) {
 		pe.parked.Store(false)
 		return
 	}

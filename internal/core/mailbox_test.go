@@ -267,8 +267,8 @@ func TestParkWakeOnMail(t *testing.T) {
 }
 
 // TestParkWakeOnGVTRequest checks the other wake source: requestGVT must
-// unpark every PE so the round's barrier can form, and a pending GVT
-// request must prevent parking in the first place.
+// unpark every PE so PE 0 can launch the token, and a pending GVT request
+// must prevent parking in the first place.
 func TestParkWakeOnGVTRequest(t *testing.T) {
 	s := newCommsSim(t, 2)
 	pe := s.pes[1]

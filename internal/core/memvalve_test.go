@@ -34,11 +34,8 @@ func (m chainModel) Reverse(lp *LP, ev *Event) {
 }
 
 // buildChain constructs a chain-model simulator. The generous GVTInterval
-// lets PEs race far ahead of commitment, which is exactly the pressure the
-// valve exists to contain. Barrier mode, because these tests need the
-// unbounded control run to actually build up a live-event pile: the async
-// engine's always-on speculation quota and adaptive window would contain
-// it before the valve ever mattered.
+// (a speculation quota of 256 events per round) lets PEs race far ahead of
+// commitment, which is exactly the pressure the valve exists to contain.
 func buildChain(t *testing.T, cfg Config) *Simulator {
 	t.Helper()
 	cfg.NumLPs = 32
@@ -46,7 +43,6 @@ func buildChain(t *testing.T, cfg Config) *Simulator {
 	cfg.BatchSize = 4
 	cfg.GVTInterval = 64
 	cfg.Seed = 9
-	cfg.GVTMode = GVTBarrier
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 )
 
 // minIdleThreshold is the number of empty scheduler passes before an idle
-// PE escalates: first to a GVT request, then — once a round has come and
-// gone with the PE still idle — to parking (see mailbox.go).
+// PE escalates: first to a GVT request, then — once a round whose token
+// visit saw the PE idle has completed — to parking (see mailbox.go).
 const minIdleThreshold = 16
 
 // PE is a processing element: one goroutine owning a set of KPs (and their
@@ -32,21 +32,17 @@ type PE struct {
 	parked atomic.Bool
 	wakeCh chan struct{}
 
+	// sinceGVT counts events executed since this PE last observed a
+	// completed round: the speculation quota (see run).
 	sinceGVT  int
 	idleSpins int
-	// idleRound records that a GVT round completed while this PE was
-	// continuously idle; only then may it park, because the round's
-	// stability loop proved no mail was in flight toward it. Barrier mode
-	// only; the async mode's equivalent is visitIdle/visitDone below.
-	idleRound bool
 
-	// Async-GVT state (allocated and used only under Config.GVTMode ==
-	// GVTAsync; see gvt_async.go). outMin[d] is the minimum receive time of
-	// mail posted to PE d in the open coverage epoch; epochs[d] holds the
-	// closed epochs still possibly in flight. Both are owner-only — the
-	// sender-side coverage scheme needs no cross-PE state beyond the lane
-	// indices the comms layer already publishes. lastFossil is the GVT
-	// estimate this PE last fossil-collected against.
+	// Token-GVT state (see gvt_async.go). outMin[d] is the minimum receive
+	// time of mail posted to PE d in the open coverage epoch; epochs[d]
+	// holds the closed epochs still possibly in flight. Both are
+	// owner-only — the sender-side coverage scheme needs no cross-PE state
+	// beyond the lane indices the comms layer already publishes.
+	// lastFossil is the GVT estimate this PE last fossil-collected against.
 	outMin     []Time       //simlint:owned
 	epochs     [][]outEpoch //simlint:owned
 	lastFossil Time         //simlint:owned
@@ -59,7 +55,7 @@ type PE struct {
 	// tokenLaunched/roundStart are PE 0's round bookkeeping. idleMarked is
 	// set while the PE sits in its idle escalation; visitIdle/visitDone
 	// record whether the last token visit found it idle and which
-	// completed-round count that visit belongs to — the async parking
+	// completed-round count that visit belongs to — the parking
 	// precondition.
 	tokenLaunched bool
 	roundStart    time.Time
@@ -70,8 +66,8 @@ type PE struct {
 	// observed at, so each round feeds it exactly one sample.
 	obsRound int64
 
-	// opt is the adaptive optimism controller, non-nil only under
-	// Config.AdaptiveOptimism (see throttle.go).
+	// opt is the adaptive optimism controller, non-nil whenever the
+	// machine has more than one PE (see throttle.go).
 	opt *optimismController
 
 	// faults is non-nil only when Config.Faults is set; see faults.go.
@@ -90,7 +86,7 @@ type PE struct {
 
 	// Statistics (owned by this PE; read by others only after Run).
 	// mailSent and mailReceived double as this PE's shards of the global
-	// in-flight message accounting: the GVT stability loop sums them
+	// in-flight message accounting: the rendezvous fixed point sums them
 	// across PEs between barriers (gvt.go), so no live global counter —
 	// and no cross-PE cache-line ping-pong — is needed.
 	//
@@ -317,26 +313,14 @@ func (pe *PE) run() (err error) {
 		pe.drainMailbox()
 		pe.flushMail(false)
 
-		if s.async {
-			// Asynchronous GVT: no rendezvous — notice termination, fossil-
-			// collect against any new estimate, move the token if held.
-			done, gerr := pe.asyncPass()
-			if gerr != nil {
-				return gerr
-			}
-			if done {
-				return nil
-			}
-		} else if s.gvtRequested.Load() {
-			done, gerr := pe.gvtRound()
-			if gerr != nil {
-				return gerr
-			}
-			if done {
-				return nil
-			}
-			pe.idleRound = true
-			continue
+		// Notice termination, fossil-collect against any new estimate, move
+		// the token if held.
+		done, gerr := pe.gvtPass()
+		if gerr != nil {
+			return gerr
+		}
+		if done {
+			return nil
 		}
 
 		n := 0
@@ -344,16 +328,14 @@ func (pe *PE) run() (err error) {
 		if pe.faults != nil {
 			batch = pe.faults.batchCap(pe.id, batch)
 		}
-		if s.async && pe.sinceGVT >= s.cfg.BatchSize*s.cfg.GVTInterval {
-			// Speculation quota: in barrier mode a PE executes at most one
-			// GVT interval's worth of events before the round stops the
-			// world, which bounds how far commits can lag execution no
-			// matter how densely events are packed in virtual time. The
-			// token round has no such stop, so enforce the same bound by
-			// count: a PE that has executed a full interval since the last
-			// completed round idles (requesting rounds, below) until one
-			// completes and resets the counter. Time-based windows cannot
-			// catch this — any fixed width is wrong for some event density.
+		if pe.sinceGVT >= s.cfg.BatchSize*s.cfg.GVTInterval {
+			// Speculation quota: a PE that has executed a full GVT interval
+			// (BatchSize·GVTInterval events) since the last completed round
+			// idles, requesting rounds (below), until one completes and
+			// observeRound resets the counter. That bounds how far commits
+			// can lag execution no matter how densely events are packed in
+			// virtual time; time-based windows cannot — any fixed width is
+			// wrong for some event density.
 			batch = 0
 		}
 		horizon := s.cfg.EndTime
@@ -391,7 +373,7 @@ func (pe *PE) run() (err error) {
 			pe.pending.Pop()
 			pe.execute(ev)
 			n++
-			if s.async && s.token.holder.Load() == int64(pe.id) &&
+			if s.token.holder.Load() == int64(pe.id) &&
 				(pe.id != 0 || pe.tokenLaunched || s.gvtRequested.Load()) {
 				// An actionable token visit is worth more than batch depth:
 				// every event the holder executes first adds a full event to
@@ -404,14 +386,18 @@ func (pe *PE) run() (err error) {
 
 		if n == 0 {
 			// Nothing executable below the horizon. Spin briefly (new mail
-			// may be en route), then escalate. If the optimism throttle is
-			// what blocks us (work exists below the end time), only a GVT
-			// advance can unblock, so keep requesting rounds — likewise if
-			// no round has run since we went idle, because mail may still
-			// be in flight toward us. Only once a round has come and gone
-			// with this PE still empty-handed is it safe to park: the
-			// round's stability loop proved nothing was in flight, so any
-			// future mail comes from a future send, whose flush wakes us.
+			// may be en route), then escalate. A throttled PE (work exists
+			// below the end time) needs rounds until GVT advances past its
+			// horizon. An unthrottled idle PE needs one round whose token
+			// visit saw it idle to complete: that round either discovers
+			// termination or proves someone else still has the work, and
+			// only then is parking safe (otherwise every PE could fall asleep
+			// on a stale estimate with no round pending to notice the
+			// machine has drained). The token holder never parks — and it
+			// must also keep requesting rounds while idle: between rounds the
+			// token rests at its holder, so if the holder merely yielded, the
+			// other PEs could all park with the request flag clear and no
+			// round would ever launch to discover termination.
 			throttled := false
 			if ev, ok := pe.nextLive(); ok && ev.recvTime < s.cfg.EndTime {
 				throttled = true
@@ -423,46 +409,21 @@ func (pe *PE) run() (err error) {
 				continue
 			}
 			pe.idleSpins = 0
-			if s.async {
-				// No barrier to rendezvous at. A throttled PE needs rounds
-				// until GVT advances past its horizon; an unthrottled idle PE
-				// needs one round whose token visit saw it idle to complete —
-				// that round either discovers termination or proves someone
-				// else still has the work, and only then is parking safe
-				// (otherwise every PE could fall asleep on a stale estimate
-				// with no round pending to notice the machine has drained).
-				// The token holder never parks — and it must also keep
-				// requesting rounds while idle: between rounds the token
-				// rests at its holder, so if the holder merely yielded, the
-				// other PEs could all park with the request flag clear and
-				// no round would ever launch to discover termination.
-				parkable := pe.visitIdle && s.gvtRounds.Load() >= pe.visitDone
-				holding := s.token.holder.Load() == int64(pe.id)
-				if throttled || !parkable || holding {
-					// Under the GVTDelay fault the request may be suppressed;
-					// re-requesting every threshold is what keeps that safe.
-					s.requestGVT()
-					runtime.Gosched()
-				} else if s.gvtRequested.Load() {
-					runtime.Gosched()
-				} else {
-					pe.park()
-				}
-				continue
-			}
-			if throttled || !pe.idleRound {
+			parkable := pe.visitIdle && s.gvtRounds.Load() >= pe.visitDone
+			holding := s.token.holder.Load() == int64(pe.id)
+			if throttled || !parkable || holding {
 				// Under the GVTDelay fault the request may be suppressed;
-				// re-requesting every threshold is what keeps that safe,
-				// and !idleRound keeps us from parking until one lands.
+				// re-requesting every threshold is what keeps that safe.
 				s.requestGVT()
 				runtime.Gosched()
-			} else if !s.gvtRequested.Load() {
+			} else if s.gvtRequested.Load() {
+				runtime.Gosched()
+			} else {
 				pe.park()
 			}
 			continue
 		}
 		pe.idleSpins = 0
-		pe.idleRound = false
 		pe.idleMarked = false
 		pe.visitIdle = false
 		pe.sinceGVT += n
@@ -490,12 +451,7 @@ func (pe *PE) run() (err error) {
 			}
 		}
 		if pe.sinceGVT >= s.cfg.BatchSize*s.cfg.GVTInterval {
-			// In async mode the counter is the speculation quota above and
-			// only a completed round (asyncPass) may reset it; in barrier
-			// mode the request itself guarantees a round is imminent.
-			if !s.async {
-				pe.sinceGVT = 0
-			}
+			// Quota spent: only a completed round resets the counter.
 			s.requestGVT()
 		}
 	}

@@ -30,42 +30,26 @@ type Config struct {
 	// BatchSize is the number of events a PE executes between scheduler
 	// checks (mailbox drains, GVT flags). Default 32.
 	BatchSize int
-	// GVTInterval is the number of batches between GVT rounds. Default 16.
+	// GVTInterval is the speculation quota in batches: a PE that has
+	// executed BatchSize·GVTInterval events since the last completed GVT
+	// round stops and requests the next one. Default 16.
 	GVTInterval int
-	// GVTMode selects the GVT algorithm. GVTAsync (the default) circulates
-	// a Mattern-style token over the mail lanes: no PE ever blocks on a
-	// barrier, each learns new estimates from the token and fossil-collects
-	// on its own schedule. GVTBarrier is the stop-the-world Fujimoto round
-	// that rendezvouses every PE; it remains selectable so the differential
-	// harness can verify the two algorithms against each other (and the
-	// sequential oracle). See gvt.go and gvt_async.go.
-	GVTMode string
-	// AdaptiveOptimism enables the per-PE optimism controller: each PE's
-	// speculation horizon widens and narrows with its observed rollback
-	// efficiency (committed/executed per interval), generalizing the static
-	// MaxOptimism bound. Scheduling-only, so committed results are
-	// unaffected. The async GVT mode always runs the controller — barrier
-	// rounds stop the world and so quench rollback cascades as a side
-	// effect, but asynchronous rounds never pause anyone, and on tightly
-	// coupled models unthrottled speculation can collapse into cascade
-	// thrash where GVT barely advances. This flag arms the controller for
-	// barrier mode too. See throttle.go.
-	AdaptiveOptimism bool
 	// Queue selects the pending-queue implementation; any kind registered
 	// in eventq is accepted ("heap", "ladder", "splay"), and an empty
-	// value selects "ladder" — the calendar-family structure with
-	// amortised O(1) Push/Pop on the PDES access pattern, zero
-	// steady-state allocation, and a bulk below-bound drain fast path
+	// value selects eventq.DefaultKind, the ladder — the calendar-family
+	// structure with amortised O(1) Push/Pop on the PDES access pattern,
+	// zero steady-state allocation, and a bulk below-bound drain fast path
 	// (roughly 3x splay's kernel event rate; see DESIGN.md, "Event
 	// queue"). The committed schedule is identical for every kind — the
 	// kernel's event order is total — so the choice is purely a
 	// performance knob, enforced by simcheck's queue dimension.
 	Queue string
-	// CheckInvariants enables paranoid mode: at every GVT round, while the
-	// machine is quiescent, each PE validates its structural invariants
-	// (processed-list ordering, straggler postconditions, ownership).
-	// Costs a full queue scan per round; intended for model development
-	// and the test suite, not production runs.
+	// CheckInvariants enables paranoid mode: after every fossil
+	// collection against a new GVT estimate, each PE validates its
+	// structural invariants (processed-list ordering, straggler
+	// postconditions, ownership), and every all-PE rendezvous (checkpoint
+	// capture, shutdown drain) checks comms quiescence. Costs a full queue scan per GVT advance; intended for
+	// model development and the test suite, not production runs.
 	CheckInvariants bool
 	// MaxOptimism, when positive, bounds speculation: a PE will not
 	// execute events more than this far beyond the last GVT estimate
@@ -93,7 +77,7 @@ type Config struct {
 	PressureWindow Time
 	// InvariantSweep, when positive, runs each PE's structural invariant
 	// checks (see CheckInvariants) every n scheduler passes in addition
-	// to the barrier-time sweep at GVT rounds. The checks touch only
+	// to the sweep at each GVT advance. The checks touch only
 	// PE-owned state, so no quiescence is needed; the cost is a full
 	// pending-queue scan per sweep. Intended for the soak harness, where
 	// hours-scale runs cannot wait for a round boundary to notice
@@ -114,10 +98,8 @@ type Config struct {
 
 	// OnGVT, when set, is called once per GVT round with the new estimate
 	// (TimeInfinity when the event population has drained). It runs on
-	// PE 0 — in barrier mode while every PE is paused at the round's
-	// barrier, in async mode while the other PEs keep executing — so it
-	// must not block for long, and under the async default it must not
-	// assume the machine is quiescent.
+	// PE 0 while the other PEs keep executing, so it must not block for
+	// long and must not assume the machine is quiescent.
 	OnGVT func(gvt Time)
 	// OnRollback, when set, is called after each rollback with the KP
 	// that rolled back, how many events were reversed, and whether the
@@ -192,17 +174,10 @@ func (cfg *Config) setDefaults() error {
 		}
 	}
 	if cfg.Queue == "" {
-		cfg.Queue = "ladder"
+		cfg.Queue = eventq.DefaultKind
 	}
 	if err := eventq.Valid(cfg.Queue); err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	switch cfg.GVTMode {
-	case "":
-		cfg.GVTMode = GVTAsync
-	case GVTAsync, GVTBarrier:
-	default:
-		return fmt.Errorf("core: unknown GVT mode %q", cfg.GVTMode)
 	}
 	if cfg.MaxLiveEvents < 0 || cfg.InvariantSweep < 0 {
 		return errors.New("core: MaxLiveEvents and InvariantSweep must be non-negative")
@@ -234,14 +209,6 @@ func (cfg *Config) defaultPressureWindow() Time {
 	return cfg.EndTime / 64
 }
 
-// The Config.GVTMode values.
-const (
-	// GVTAsync is the asynchronous token GVT (gvt_async.go).
-	GVTAsync = "async"
-	// GVTBarrier is the synchronous barrier GVT (gvt.go).
-	GVTBarrier = "barrier"
-)
-
 // Host is the setup interface shared by the parallel Simulator and the
 // Sequential reference engine; models install themselves against it so one
 // setup function serves both (which is what makes the sequential-vs-
@@ -270,24 +237,16 @@ type Simulator struct {
 	gvtStable    atomic.Bool
 	finished     atomic.Bool
 	gvtBits      atomic.Uint64
-	localMins    []Time
 	gvtRounds    atomic.Int64
 
-	// async selects the token GVT (Config.GVTMode == GVTAsync); token is
-	// its circulating state. See gvt_async.go.
-	async bool
+	// token is the circulating GVT token; see gvt_async.go.
 	token gvtToken
 
-	// Periodic checkpointing (SetCheckpoint; see checkpoint.go). ckptDue is
-	// barrier mode's round flag: PE 0 writes it between a round's barriers
-	// and every PE reads it after the next barrier, so it needs no atomic.
-	// ckptPending is the async mode's equivalent — there is no barrier to
-	// order a plain flag, so completeRound publishes it atomically and
-	// every PE's next asyncPass routes into the rendezvous. ckptLastRound
-	// is PE 0's bookkeeping only.
+	// Periodic checkpointing (SetCheckpoint; see checkpoint.go).
+	// completeRound publishes ckptPending and every PE's next gvtPass
+	// routes into the rendezvous. ckptLastRound is PE 0's bookkeeping only.
 	ckptSink      CheckpointSink
 	ckptEvery     int64
-	ckptDue       bool
 	ckptPending   atomic.Bool
 	ckptLastRound int64
 
@@ -348,22 +307,18 @@ func New(cfg Config) (*Simulator, error) {
 		pe.pending = newEventQueue(cfg.Queue)
 	}
 	s.bar = newBarrier(cfg.NumPEs)
-	s.localMins = make([]Time, cfg.NumPEs)
-	s.async = cfg.GVTMode == GVTAsync
-	if s.async {
-		for _, pe := range s.pes {
-			pe.outMin = make([]Time, cfg.NumPEs)
-			for d := range pe.outMin {
-				pe.outMin[d] = TimeInfinity
-			}
-			pe.epochs = make([][]outEpoch, cfg.NumPEs)
+	for _, pe := range s.pes {
+		pe.outMin = make([]Time, cfg.NumPEs)
+		for d := range pe.outMin {
+			pe.outMin[d] = TimeInfinity
 		}
+		pe.epochs = make([][]outEpoch, cfg.NumPEs)
 	}
-	if (cfg.AdaptiveOptimism || s.async) && cfg.NumPEs > 1 {
-		// Async GVT has no stop-the-world quench, so the controller is not
-		// optional there (see Config.AdaptiveOptimism). A single-PE machine
-		// executes in timestamp order and cannot roll back, so throttling it
-		// would only cap batch depth for nothing.
+	if cfg.NumPEs > 1 {
+		// Token rounds never pause anyone, so nothing quenches a rollback
+		// cascade but the optimism controller (see throttle.go). A single-PE
+		// machine executes in timestamp order and cannot roll back, so
+		// throttling it would only cap batch depth for nothing.
 		for _, pe := range s.pes {
 			pe.opt = newOptimismController(&s.cfg, runtime.GOMAXPROCS(0))
 		}
@@ -527,11 +482,11 @@ func (s *Simulator) lookup(id LPID) *LP {
 func (s *Simulator) fail(err error) {
 	s.failOnce.Do(func() {
 		s.failErr = err
+		// Every PE — parked ones once woken — sees finished at its next
+		// gvtPass and enters the shutdown drain, where the poisoned barrier
+		// surfaces the failure; the poison also releases PEs already
+		// blocked in a rendezvous.
 		s.finished.Store(true)
-		// Bypass requestGVT (and its GVTDelay suppression): every PE —
-		// including parked ones, once woken — must route into gvtRound,
-		// where the poisoned barrier surfaces the failure.
-		s.gvtRequested.Store(true)
 		s.bar.poison()
 		s.wakeAll()
 	})

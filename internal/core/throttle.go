@@ -1,7 +1,7 @@
 package core
 
-// This file is the adaptive optimism throttle (Config.AdaptiveOptimism): a
-// per-PE controller that widens and narrows the speculation horizon from
+// This file is the adaptive optimism throttle, armed on every PE whenever
+// the machine has more than one: a per-PE controller that widens and narrows the speculation horizon from
 // observed rollback efficiency, generalizing the static MaxOptimism bound
 // and the memory valve's fixed PressureWindow. The controller is pure
 // scheduling policy — like both of those, it changes *when* events execute,
@@ -59,7 +59,8 @@ type optimismController struct {
 // to the cap within optFloorDiv-log2 rounds (a few milliseconds of real
 // time), whereas starting wide costs a full cascade storm up front on
 // tightly coupled workloads — the controller would have to narrow *through*
-// the storm it just caused, and in async mode nothing else quenches it.
+// the storm it just caused, and token rounds never pause anyone, so
+// nothing else quenches it.
 //
 // cpus is the scheduler parallelism available to the PE goroutines
 // (runtime.GOMAXPROCS in production). With one processor the cap collapses

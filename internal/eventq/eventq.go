@@ -66,8 +66,9 @@ func Drain[T any](q Queue[T], upTo T, less func(a, b T) bool, fn func(T)) {
 	}
 }
 
-// DefaultKind is the queue an empty kind name selects.
-const DefaultKind = "splay"
+// DefaultKind is the queue an empty kind name selects, and so the
+// kernel's default pending set.
+const DefaultKind = "ladder"
 
 // kindSpec is one registry entry; registry is the single place a queue
 // kind is declared — Kinds, Valid and New all derive from it, so adding a

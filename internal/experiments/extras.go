@@ -236,6 +236,7 @@ func TopologyTable(points []TopologyPoint) stats.Table {
 type MemoryPoint struct {
 	GVTInterval int
 	MaxOptimism float64
+	Committed   int64
 	PeakLive    int
 	RolledBack  int64
 	EventRate   float64
@@ -270,6 +271,7 @@ func MemorySweep(opt Options) ([]MemoryPoint, error) {
 		out = append(out, MemoryPoint{
 			GVTInterval: c.interval,
 			MaxOptimism: c.maxOpt,
+			Committed:   ks.Committed,
 			PeakLive:    ks.PeakLiveEvents,
 			RolledBack:  ks.RolledBackEvents,
 			EventRate:   ks.EventRate,
@@ -330,6 +332,10 @@ type TuningPoint struct {
 	BatchSize   int
 	GVTInterval int
 	MaxOptimism float64 // 0 = unthrottled
+	Committed   int64
+	// PEProcessed is each PE's executed-event count, rolled-back
+	// executions included.
+	PEProcessed []int64
 	EventRate   float64
 	RolledBack  int64
 	GVTRounds   int64
@@ -338,9 +344,12 @@ type TuningPoint struct {
 
 // TuningSweep explores the kernel's two scheduling knobs — events per
 // batch and batches per GVT round — on the hot-potato workload. Small
-// batches bound optimism (fewer rollbacks, more scheduling overhead);
-// frequent GVT rounds bound memory (more barriers). This is the tuning
-// study every Time Warp deployment runs; ROSS exposes the same two knobs.
+// batches bound optimism (fewer rollbacks, more scheduling overhead); a
+// small interval shrinks the speculation quota, BatchSize·GVTInterval
+// events per PE per GVT round, which bounds memory at the cost of more
+// rounds. This is the tuning study every Time Warp deployment runs; ROSS
+// exposes the same two knobs. Every cell commits the same work: the knobs
+// change performance, never results.
 func TuningSweep(opt Options) ([]TuningPoint, error) {
 	pes := opt.PEs
 	if pes <= 0 {
@@ -373,10 +382,16 @@ func TuningSweep(opt Options) ([]TuningPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("batch=%d interval=%d: %w", c.batch, c.interval, err)
 		}
+		var perPE []int64
+		for _, ps := range ks.PEs {
+			perPE = append(perPE, ps.Processed)
+		}
 		out = append(out, TuningPoint{
 			BatchSize:   c.batch,
 			GVTInterval: c.interval,
 			MaxOptimism: c.maxOpt,
+			Committed:   ks.Committed,
+			PEProcessed: perPE,
 			EventRate:   ks.EventRate,
 			RolledBack:  ks.RolledBackEvents,
 			GVTRounds:   ks.GVTRounds,

@@ -98,9 +98,10 @@ func TestTopologySweep(t *testing.T) {
 	}
 }
 
-// TestMemorySweep: the footprint study must fill its grid; a throttled
-// run must not have a larger footprint than the unthrottled run at the
-// same GVT interval.
+// TestMemorySweep: the footprint study must fill its grid and commit
+// identical work in every cell. (That a throttle bounds the footprint is
+// proven where it is a theorem: core's TestMaxOptimismBoundsSpeculation
+// and TestSpeculationQuotaBoundsDenseBootstrap.)
 func TestMemorySweep(t *testing.T) {
 	points, err := MemorySweep(Options{Steps: 20, Seed: 16, PEs: 2})
 	if err != nil {
@@ -109,22 +110,13 @@ func TestMemorySweep(t *testing.T) {
 	if len(points) != 6 {
 		t.Fatalf("got %d memory points", len(points))
 	}
-	var wild, tame int
 	for _, p := range points {
 		if p.PeakLive <= 0 {
 			t.Fatalf("empty cell %+v", p)
 		}
-		if p.GVTInterval == 64 {
-			if p.MaxOptimism == 0 {
-				wild = p.PeakLive
-			}
-			if p.MaxOptimism == 2 {
-				tame = p.PeakLive
-			}
+		if p.Committed != points[0].Committed {
+			t.Fatalf("cell %+v committed %d events, first cell %d", p, p.Committed, points[0].Committed)
 		}
-	}
-	if tame > wild {
-		t.Fatalf("throttled peak %d > unthrottled %d", tame, wild)
 	}
 	if tab := MemoryTable(points); len(tab.Rows) != 6 {
 		t.Fatal("memory table malformed")
@@ -156,7 +148,11 @@ func TestWarmup(t *testing.T) {
 }
 
 // TestTuningSweep: the ablation grid must fill and commit identical work
-// in every cell (tuning knobs must not change results, only performance).
+// in every cell (tuning knobs must not change results, only performance),
+// and no PE may out-execute the speculation quota: between two completed
+// GVT rounds a PE executes at most BatchSize·GVTInterval events plus one
+// batch of overshoot, so Processed ≤ (GVTRounds+1)·(BatchSize·GVTInterval
+// + BatchSize) on every PE.
 func TestTuningSweep(t *testing.T) {
 	points, err := TuningSweep(Options{Steps: 20, Seed: 13, PEs: 2})
 	if err != nil {
@@ -169,18 +165,14 @@ func TestTuningSweep(t *testing.T) {
 		if p.EventRate <= 0 || p.GVTRounds <= 0 {
 			t.Fatalf("empty cell %+v", p)
 		}
-	}
-	// More frequent GVT rounds at the same batch size must mean at least
-	// as many rounds.
-	byBatch := map[int][]TuningPoint{}
-	for _, p := range points {
-		byBatch[p.BatchSize] = append(byBatch[p.BatchSize], p)
-	}
-	for batch, row := range byBatch {
-		for i := 1; i < len(row); i++ {
-			if row[i].GVTInterval > row[i-1].GVTInterval && row[i].GVTRounds > row[i-1].GVTRounds {
-				t.Errorf("batch %d: interval %d has more rounds (%d) than interval %d (%d)",
-					batch, row[i].GVTInterval, row[i].GVTRounds, row[i-1].GVTInterval, row[i-1].GVTRounds)
+		if p.Committed != points[0].Committed {
+			t.Fatalf("cell %+v committed %d events, first cell %d", p, p.Committed, points[0].Committed)
+		}
+		bound := (p.GVTRounds + 1) * int64(p.BatchSize*p.GVTInterval+p.BatchSize)
+		for pe, n := range p.PEProcessed {
+			if n > bound {
+				t.Errorf("batch %d interval %d: PE %d executed %d events in %d rounds, quota bound %d",
+					p.BatchSize, p.GVTInterval, pe, n, p.GVTRounds, bound)
 			}
 		}
 	}

@@ -1,20 +1,13 @@
 package simcheck
 
-import (
-	"testing"
-
-	"repro/internal/core"
-)
+import "testing"
 
 // TestMemoryBoundDifferential is the pressure valve's differential gate:
 // a PHOLD cell run with the per-PE live-event budget squeezed to ~25% of
 // the unbounded run's peak must commit the identical trace and final
-// state, while core.Stats proves the valve both engaged and held. Barrier
-// mode: the valve needs an unbounded control run to squeeze, and the async
-// engine's speculation quota would bound the peak on its own.
+// state, while core.Stats proves the valve both engaged and held.
 func TestMemoryBoundDifferential(t *testing.T) {
-	base := Cell{Model: "phold", Engine: EngOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 42,
-		GVTMode: core.GVTBarrier}
+	base := Cell{Model: "phold", Engine: EngOptimistic, PEs: 4, KPs: 8, Queue: "heap", Seed: 42}
 	free, err := RunCell(base)
 	if err != nil {
 		t.Fatal(err)
