@@ -30,12 +30,14 @@ import (
 
 // Result is one benchmark line. The three standard units get named fields;
 // everything else (b.ReportMetric output) lands in Metrics keyed by unit.
+// A nil standard field is a unit the line did not report, so a measured 0
+// (say, 0 allocs/op) survives parsing and JSON round-trips as a value.
 type Result struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op,omitempty"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	NsPerOp     *float64           `json:"ns_per_op,omitempty"`
+	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -57,15 +59,27 @@ func (f *File) find(name string) *Result {
 	return nil
 }
 
-// field returns the named unit's value: a standard unit or a custom metric.
-func (r *Result) field(unit string) (float64, bool) {
+// standard returns the slot for one of the three named units, or nil for a
+// custom metric.
+func (r *Result) standard(unit string) **float64 {
 	switch unit {
 	case "ns/op":
-		return r.NsPerOp, r.NsPerOp != 0
+		return &r.NsPerOp
 	case "B/op":
-		return r.BytesPerOp, r.BytesPerOp != 0
+		return &r.BytesPerOp
 	case "allocs/op":
-		return r.AllocsPerOp, r.AllocsPerOp != 0
+		return &r.AllocsPerOp
+	}
+	return nil
+}
+
+// field returns the named unit's value: a standard unit or a custom metric.
+func (r *Result) field(unit string) (float64, bool) {
+	if p := r.standard(unit); p != nil {
+		if *p == nil {
+			return 0, false
+		}
+		return **p, true
 	}
 	v, ok := r.Metrics[unit]
 	return v, ok
@@ -113,19 +127,15 @@ func parseBench(r io.Reader) (*File, error) {
 			if err != nil {
 				return nil, fmt.Errorf("benchjson: bad value %q in %q", fields[i], line)
 			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				res.NsPerOp = val
-			case "B/op":
-				res.BytesPerOp = val
-			case "allocs/op":
-				res.AllocsPerOp = val
-			default:
-				if res.Metrics == nil {
-					res.Metrics = map[string]float64{}
-				}
-				res.Metrics[unit] = val
+			unit := fields[i+1]
+			if p := res.standard(unit); p != nil {
+				*p = &val
+				continue
 			}
+			if res.Metrics == nil {
+				res.Metrics = map[string]float64{}
+			}
+			res.Metrics[unit] = val
 		}
 		f.Benchmarks = append(f.Benchmarks, res)
 	}
@@ -154,7 +164,7 @@ func bestOf(in []Result) []Result {
 			out = append(out, r)
 			continue
 		}
-		if r.NsPerOp != 0 && (out[i].NsPerOp == 0 || r.NsPerOp < out[i].NsPerOp) {
+		if r.NsPerOp != nil && (out[i].NsPerOp == nil || *r.NsPerOp < *out[i].NsPerOp) {
 			out[i] = r
 		}
 	}

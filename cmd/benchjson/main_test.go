@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -39,14 +40,10 @@ func TestParseBench(t *testing.T) {
 	if pe4 == nil {
 		t.Fatal("KernelPHOLD/pe4 not found (suffix not stripped?)")
 	}
-	if pe4.NsPerOp != 1084712432 {
-		t.Errorf("ns/op = %g", pe4.NsPerOp)
-	}
-	if pe4.AllocsPerOp != 1988225 {
-		t.Errorf("allocs/op = %g", pe4.AllocsPerOp)
-	}
-	if pe4.BytesPerOp != 87828944 {
-		t.Errorf("B/op = %g", pe4.BytesPerOp)
+	for unit, want := range map[string]float64{"ns/op": 1084712432, "allocs/op": 1988225, "B/op": 87828944} {
+		if got, ok := pe4.field(unit); !ok || got != want {
+			t.Errorf("%s = %g (present %v), want %g", unit, got, ok, want)
+		}
 	}
 	if pe4.Metrics["events/run"] != 625741 {
 		t.Errorf("events/run = %g", pe4.Metrics["events/run"])
@@ -58,13 +55,16 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// f64 boxes a literal for Result's optional standard fields.
+func f64(v float64) *float64 { return &v }
+
 func TestBestOf(t *testing.T) {
 	in := []Result{
-		{Name: "A", NsPerOp: 300, AllocsPerOp: 7, Metrics: map[string]float64{"ev/s": 10}},
-		{Name: "B", NsPerOp: 50},
-		{Name: "A", NsPerOp: 100, AllocsPerOp: 9, Metrics: map[string]float64{"ev/s": 30}},
-		{Name: "A", NsPerOp: 200, AllocsPerOp: 8},
-		{Name: "B", NsPerOp: 60},
+		{Name: "A", NsPerOp: f64(300), AllocsPerOp: f64(7), Metrics: map[string]float64{"ev/s": 10}},
+		{Name: "B", NsPerOp: f64(50)},
+		{Name: "A", NsPerOp: f64(100), AllocsPerOp: f64(9), Metrics: map[string]float64{"ev/s": 30}},
+		{Name: "A", NsPerOp: f64(200), AllocsPerOp: f64(8)},
+		{Name: "B", NsPerOp: f64(60)},
 	}
 	out := bestOf(in)
 	if len(out) != 2 {
@@ -76,10 +76,10 @@ func TestBestOf(t *testing.T) {
 	if a.Name != "A" || b.Name != "B" {
 		t.Fatalf("order not preserved: %q, %q", a.Name, b.Name)
 	}
-	if a.NsPerOp != 100 || a.AllocsPerOp != 9 || a.Metrics["ev/s"] != 30 {
+	if *a.NsPerOp != 100 || *a.AllocsPerOp != 9 || a.Metrics["ev/s"] != 30 {
 		t.Errorf("A kept the wrong sample: %+v", a)
 	}
-	if b.NsPerOp != 50 {
+	if *b.NsPerOp != 50 {
 		t.Errorf("B kept the wrong sample: %+v", b)
 	}
 }
@@ -88,7 +88,7 @@ func TestChecks(t *testing.T) {
 	f := parseSample(t)
 	// A baseline with double the allocations: the run halved them.
 	f.Baseline = &File{Benchmarks: []Result{
-		{Name: "KernelPHOLD/pe4", AllocsPerOp: 4000000},
+		{Name: "KernelPHOLD/pe4", AllocsPerOp: f64(4000000)},
 	}}
 
 	cases := []struct {
@@ -126,5 +126,45 @@ func TestChecks(t *testing.T) {
 
 	if _, err := parseCheck("garbage"); err == nil {
 		t.Error("parseCheck accepted garbage")
+	}
+}
+
+// TestZeroIsAValue: a parsed 0 is a measurement, not a missing unit — it
+// must gate, and survive a JSON round-trip — while a unit the line never
+// reported stays absent.
+func TestZeroIsAValue(t *testing.T) {
+	f, err := parseBench(strings.NewReader("BenchmarkX-2 10 100 ns/op 0 B/op 0 allocs/op\nBenchmarkY 10 100 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := &File{}
+	if err := json.Unmarshal(raw, back); err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []*File{f, back} {
+		for _, c := range []struct {
+			expr string
+			pass bool
+		}{
+			{"X:allocs/op<=0", true},
+			{"X:B/op<=0", true},
+			{"X:allocs/op>=1", false},
+			{"Y:allocs/op<=0", false},
+		} {
+			chk, err := parseCheck(c.expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := chk.eval(doc); (msg == "") != c.pass {
+				t.Errorf("%s: pass=%v, msg=%q", c.expr, msg == "", msg)
+			}
+		}
+	}
+	if !strings.Contains(string(raw), `"allocs_per_op":0`) || strings.Count(string(raw), "allocs_per_op") != 1 {
+		t.Errorf("JSON must carry X's 0 allocs/op and omit Y's: %s", raw)
 	}
 }

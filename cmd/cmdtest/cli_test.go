@@ -85,6 +85,9 @@ func TestHotpotatoCLIFlags(t *testing.T) {
 	runExpectError(t, "hotpotato", "-policy", "warp9")
 	runExpectError(t, "hotpotato", "-traffic", "nope")
 	runExpectError(t, "hotpotato", "-n", "1")
+	// A hostile optimism cap is a configuration error, not an unbounded run.
+	runExpectError(t, "hotpotato", "-n", "6", "-steps", "5", "-max-optimism", "-1")
+	runExpectError(t, "phold", "-lps", "64", "-end", "5", "-max-optimism", "NaN")
 }
 
 // TestPholdCLI covers the benchmark binary.

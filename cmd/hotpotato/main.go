@@ -168,8 +168,8 @@ func main() {
 		ks.MailSent, ks.BatchesFlushed, ks.AvgBatchSize, ks.MailboxPeak, ks.Parks, ks.Wakes)
 	if ks.GVTRounds > 0 {
 		avg := ks.GVTLatency / time.Duration(ks.GVTRounds)
-		fmt.Printf("gvt: %d rounds, avg latency %v, %v total wait, %d throttled passes\n",
-			ks.GVTRounds, avg.Round(time.Microsecond), ks.GVTWait.Round(time.Microsecond), ks.OptClamps)
+		fmt.Printf("gvt: %d rounds, avg latency %v, %v total wait, %d window-clamped passes, %d quota stalls\n",
+			ks.GVTRounds, avg.Round(time.Microsecond), ks.GVTWait.Round(time.Microsecond), ks.OptClamps, ks.QuotaStalls)
 	}
 	fmt.Print(totals)
 	if *kernel {

@@ -213,6 +213,7 @@ func (c *Conservative) Run() (*Stats, error) {
 		GVTRounds: c.windows, // window rounds play GVT's role
 		NumPEs:    len(c.pes),
 		NumKPs:    len(c.pes),
+		Queue:     c.cfg.Queue,
 		Wall:      wall,
 	}
 	for _, pe := range c.pes {

@@ -136,18 +136,16 @@ func (pe *PE) gvtPass() (bool, error) {
 }
 
 // observeRound runs once per completed round count n a PE sees: refill the
-// speculation quota and feed the optimism controller. Counting each n once
-// is what bounds a PE's executions by (rounds+1) quotas plus a batch each.
-// The controller observes rounds, not GVT advances: rounds complete even
-// while the estimate is pinned, and a rollback storm pins it — narrowing
-// the window is exactly what un-pins it, so gating the controller on
-// advances would deadlock its own feedback loop.
+// speculation quota and feed the horizon window. Counting each n once is
+// what bounds a PE's executions by (rounds+1) quotas plus a batch each.
+// The window observes rounds, not GVT advances: rounds complete even while
+// the estimate is pinned, and a rollback storm pins it — narrowing the
+// window is exactly what un-pins it, so gating the window on advances
+// would deadlock its own feedback loop.
 func (pe *PE) observeRound(n int64) {
 	pe.obsRound = n
 	pe.sinceGVT = 0
-	if pe.opt != nil {
-		pe.opt.observe(pe.processed, pe.rolledBackEvents)
-	}
+	pe.horizon.observe(pe.processed, pe.rolledBackEvents)
 }
 
 // tokenPass advances the token while this PE holds it: complete a returned

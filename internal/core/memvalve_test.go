@@ -85,7 +85,6 @@ func TestMemoryValveBoundsLiveEvents(t *testing.T) {
 		NumPEs:          2,
 		CheckInvariants: true,
 		MaxLiveEvents:   budget,
-		PressureWindow:  1.5,
 	})
 	boundedStats, err := bounded.Run()
 	if err != nil {
@@ -102,8 +101,9 @@ func TestMemoryValveBoundsLiveEvents(t *testing.T) {
 	}
 	// The valve is checked once per pass, so a pass may overshoot by up to
 	// BatchSize, plus whatever already sat below GVT+window when the clamp
-	// bit; with a 1.5-tick window at most one tick's events (<= NumLPs) are
-	// below it. Anything past that slack means the clamp is not holding.
+	// bit; the valve's window is the floor, EndTime/256 < 1 tick, so at
+	// most one tick's events (<= NumLPs) are below it. Anything past that
+	// slack means the clamp is not holding.
 	slack := int64(4 /* BatchSize */ + 32 /* one tick of LPs */)
 	if boundedStats.LivePeak > int64(budget)+slack {
 		t.Fatalf("bounded live peak %d exceeds budget %d + slack %d", boundedStats.LivePeak, budget, slack)
@@ -157,9 +157,9 @@ func TestInvariantSweepCatchesCorruption(t *testing.T) {
 // equivalent to the Config fields, and reject calls after Run.
 func TestSettersArmValveAndParanoia(t *testing.T) {
 	s := buildChain(t, Config{NumPEs: 2})
-	s.SetMemoryBound(16, 0)
-	if s.cfg.MaxLiveEvents != 16 || s.cfg.PressureWindow <= 0 {
-		t.Fatalf("SetMemoryBound: MaxLiveEvents=%d PressureWindow=%v", s.cfg.MaxLiveEvents, s.cfg.PressureWindow)
+	s.SetMemoryBound(16)
+	if s.cfg.MaxLiveEvents != 16 || s.pes[0].horizon.maxLive != 16 {
+		t.Fatalf("SetMemoryBound: MaxLiveEvents=%d policy budget=%d", s.cfg.MaxLiveEvents, s.pes[0].horizon.maxLive)
 	}
 	s.SetParanoid(4)
 	if !s.cfg.CheckInvariants || s.cfg.InvariantSweep != 4 {
@@ -168,6 +168,6 @@ func TestSettersArmValveAndParanoia(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	mustPanic(t, "SetMemoryBound after Run", func() { s.SetMemoryBound(1, 0) })
+	mustPanic(t, "SetMemoryBound after Run", func() { s.SetMemoryBound(1) })
 	mustPanic(t, "SetParanoid after Run", func() { s.SetParanoid(1) })
 }

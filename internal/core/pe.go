@@ -62,13 +62,12 @@ type PE struct {
 	idleMarked    bool
 	visitIdle     bool
 	visitDone     int64
-	// obsRound is the completed-round count the optimism controller last
+	// obsRound is the completed-round count the horizon policy last
 	// observed at, so each round feeds it exactly one sample.
 	obsRound int64
 
-	// opt is the adaptive optimism controller, non-nil whenever the
-	// machine has more than one PE (see throttle.go).
-	opt *optimismController
+	// horizon bounds how far past GVT this PE executes (see horizon.go).
+	horizon horizonPolicy //simlint:owned
 
 	// faults is non-nil only when Config.Faults is set; see faults.go.
 	faults *peFaults
@@ -104,14 +103,14 @@ type PE struct {
 	batchedMessages    int64         //simlint:sharded
 	mailboxPeak        int64         //simlint:sharded
 	livePeak           int64         //simlint:sharded
-	memThrottles       int64         //simlint:sharded
 	invariantSweeps    int64         //simlint:sharded
 	parks              int64         //simlint:sharded
 	wakes              atomic.Int64  // bumped by the waker, not the owner: atomic, so not sharded
 	busy               time.Duration //simlint:sharded
 	gvtWait            time.Duration //simlint:sharded
 	gvtLatency         time.Duration //simlint:sharded
-	optClamps          int64         //simlint:sharded
+	// clamps counts scheduler passes by the bound that set their horizon.
+	clamps [numClampReasons]int64 //simlint:sharded
 }
 
 // ID returns the PE index.
@@ -328,42 +327,12 @@ func (pe *PE) run() (err error) {
 		if pe.faults != nil {
 			batch = pe.faults.batchCap(pe.id, batch)
 		}
-		if pe.sinceGVT >= s.cfg.BatchSize*s.cfg.GVTInterval {
-			// Speculation quota: a PE that has executed a full GVT interval
-			// (BatchSize·GVTInterval events) since the last completed round
-			// idles, requesting rounds (below), until one completes and
-			// observeRound resets the counter. That bounds how far commits
-			// can lag execution no matter how densely events are packed in
-			// virtual time; time-based windows cannot — any fixed width is
-			// wrong for some event density.
+		horizon, reason := pe.horizon.next(s.GVT(), pe.liveEvents, pe.sinceGVT)
+		pe.clamps[reason]++
+		if reason == clampQuota {
+			// Speculation quota spent: idle, requesting rounds (below),
+			// until one completes and observeRound resets the counter.
 			batch = 0
-		}
-		horizon := s.cfg.EndTime
-		if s.cfg.MaxOptimism > 0 {
-			if h := s.GVT() + s.cfg.MaxOptimism; h < horizon {
-				horizon = h
-			}
-		}
-		if pe.opt != nil {
-			// Adaptive optimism: the controller's window (never wider than
-			// MaxOptimism when that is set) tracks this PE's rollback
-			// efficiency; see throttle.go.
-			if h := s.GVT() + pe.opt.window; h < horizon {
-				horizon = h
-				pe.optClamps++
-			}
-		}
-		if b := s.cfg.MaxLiveEvents; b > 0 && pe.liveEvents >= int64(b) {
-			// Pressure valve engaged: this PE is at its live-event budget,
-			// so it stops advancing past GVT+window until fossil collection
-			// drains it back under. The window stays positive, so the event
-			// at GVT itself — the global minimum — remains executable and
-			// GVT keeps advancing; the overshoot within one pass is bounded
-			// by BatchSize plus whatever sits below the window.
-			if h := s.GVT() + s.cfg.PressureWindow; h < horizon {
-				horizon = h
-				pe.memThrottles++
-			}
 		}
 		for n < batch {
 			ev, ok := pe.nextLive()
@@ -450,7 +419,7 @@ func (pe *PE) run() (err error) {
 				runtime.Gosched()
 			}
 		}
-		if pe.sinceGVT >= s.cfg.BatchSize*s.cfg.GVTInterval {
+		if pe.sinceGVT >= pe.horizon.quota {
 			// Quota spent: only a completed round resets the counter.
 			s.requestGVT()
 		}

@@ -30,13 +30,16 @@ type Sequential struct {
 
 // NewSequential builds a sequential executor. Only NumLPs, EndTime, Seed
 // and Queue are consulted; the placement fields are irrelevant without
-// parallelism.
+// parallelism. A hostile MaxOptimism is still rejected, as in every engine.
 func NewSequential(cfg Config) (*Sequential, error) {
 	if cfg.NumLPs <= 0 {
 		return nil, errors.New("core: Config.NumLPs must be positive")
 	}
 	if !(cfg.EndTime > 0) {
 		return nil, errors.New("core: Config.EndTime must be positive")
+	}
+	if !(cfg.MaxOptimism >= 0) {
+		return nil, errors.New("core: Config.MaxOptimism must be non-negative")
 	}
 	if cfg.Queue == "" {
 		cfg.Queue = eventq.DefaultKind
@@ -175,6 +178,7 @@ func (q *Sequential) Run() (*Stats, error) {
 		Committed: q.processed,
 		NumPEs:    1,
 		NumKPs:    1,
+		Queue:     q.cfg.Queue,
 		Wall:      wall,
 	}
 	var ps PEStats

@@ -51,30 +51,24 @@ type Config struct {
 	// capture, shutdown drain) checks comms quiescence. Costs a full queue scan per GVT advance; intended for
 	// model development and the test suite, not production runs.
 	CheckInvariants bool
-	// MaxOptimism, when positive, bounds speculation: a PE will not
+	// MaxOptimism, when positive, caps the optimism window: a PE will not
 	// execute events more than this far beyond the last GVT estimate
 	// (ROSS's max_opt_lookahead). It trades idle time for rollback
 	// volume — essential when PEs outnumber cores and one PE can race
-	// far ahead while another is descheduled. 0 means unlimited.
+	// far ahead while another is descheduled. 0 caps it at EndTime;
+	// negative and NaN are rejected (see horizon.go).
 	MaxOptimism Time
 	// MaxLiveEvents, when positive, bounds each PE's optimistic memory
 	// footprint: once a PE holds this many executed-but-uncommitted
 	// events (which is also its count of live state saves — one snapshot
 	// per uncommitted event under copy state saving), its optimism window
-	// collapses to GVT+PressureWindow until fossil collection drains it
-	// back under budget. This is the fossil-collection pressure valve —
+	// narrows to the window floor until fossil collection drains it back
+	// under budget. This is the fossil-collection pressure valve —
 	// cancelback-lite: instead of reclaiming memory by returning events
 	// to their senders, the PE simply stops advancing (and therefore
 	// stops allocating) until commitment catches up. Scheduling-only, so
 	// committed results are unaffected. 0 means unbounded.
 	MaxLiveEvents int
-	// PressureWindow is the optimism window a memory-throttled PE falls
-	// back to: with the valve engaged it still executes events below
-	// GVT + PressureWindow, which keeps the event at GVT itself — the
-	// global minimum — executable and the run deadlock-free. Defaults to
-	// MaxOptimism when that is set, else EndTime/64. Only meaningful with
-	// MaxLiveEvents.
-	PressureWindow Time
 	// InvariantSweep, when positive, runs each PE's structural invariant
 	// checks (see CheckInvariants) every n scheduler passes in addition
 	// to the sweep at each GVT advance. The checks touch only
@@ -182,11 +176,11 @@ func (cfg *Config) setDefaults() error {
 	if cfg.MaxLiveEvents < 0 || cfg.InvariantSweep < 0 {
 		return errors.New("core: MaxLiveEvents and InvariantSweep must be non-negative")
 	}
+	if !(cfg.MaxOptimism >= 0) {
+		return errors.New("core: Config.MaxOptimism must be non-negative")
+	}
 	if cfg.InvariantSweep > 0 {
 		cfg.CheckInvariants = true
-	}
-	if cfg.MaxLiveEvents > 0 && cfg.PressureWindow <= 0 {
-		cfg.PressureWindow = cfg.defaultPressureWindow()
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(); err != nil {
@@ -194,19 +188,6 @@ func (cfg *Config) setDefaults() error {
 		}
 	}
 	return nil
-}
-
-// defaultPressureWindow derives the throttled-PE optimism window when the
-// caller armed MaxLiveEvents without choosing one. Any positive value is
-// correct (the valve is scheduling-only); MaxOptimism, when set, is the
-// window the caller already considered reasonable, and EndTime/64 is
-// otherwise small enough to bite yet wide enough that GVT rounds make
-// visible progress per engagement.
-func (cfg *Config) defaultPressureWindow() Time {
-	if cfg.MaxOptimism > 0 {
-		return cfg.MaxOptimism
-	}
-	return cfg.EndTime / 64
 }
 
 // Host is the setup interface shared by the parallel Simulator and the
@@ -273,6 +254,9 @@ func New(cfg Config) (*Simulator, error) {
 			sim:    s,
 			lanes:  make([]lane, cfg.NumPEs),
 			wakeCh: make(chan struct{}, 1),
+			// Token rounds never pause anyone, so nothing quenches a
+			// rollback cascade but the horizon policy.
+			horizon: newHorizonPolicy(&s.cfg, runtime.GOMAXPROCS(0)),
 		}
 		s.pes[i].outbox.bufs = make([][]mail, cfg.NumPEs)
 		if cfg.Faults != nil {
@@ -313,15 +297,6 @@ func New(cfg Config) (*Simulator, error) {
 			pe.outMin[d] = TimeInfinity
 		}
 		pe.epochs = make([][]outEpoch, cfg.NumPEs)
-	}
-	if cfg.NumPEs > 1 {
-		// Token rounds never pause anyone, so nothing quenches a rollback
-		// cascade but the optimism controller (see throttle.go). A single-PE
-		// machine executes in timestamp order and cannot roll back, so
-		// throttling it would only cap batch depth for nothing.
-		for _, pe := range s.pes {
-			pe.opt = newOptimismController(&s.cfg, runtime.GOMAXPROCS(0))
-		}
 	}
 	s.setGVT(0)
 	return s, nil
@@ -405,24 +380,21 @@ func (s *Simulator) SetRecord(r RecordSink) {
 }
 
 // SetMemoryBound arms the fossil-collection pressure valve after
-// construction (see Config.MaxLiveEvents/PressureWindow): each PE caps its
-// executed-but-uncommitted events at maxLive, falling back to a
-// GVT+window optimism horizon while over budget. window <= 0 picks the
-// default. Models build the kernel Config internally, so — like SetRecord
-// — this is how harnesses reach a model-built simulator; it must be
-// called before Run. maxLive <= 0 disarms the valve.
-func (s *Simulator) SetMemoryBound(maxLive int, window Time) {
+// construction (see Config.MaxLiveEvents): each PE caps its
+// executed-but-uncommitted events at maxLive, narrowing its horizon to the
+// window floor while over budget. Models build the kernel Config
+// internally, so — like SetRecord — this is how harnesses reach a
+// model-built simulator; it must be called before Run. maxLive <= 0
+// disarms the valve.
+//
+//simlint:crosspe pre-Run: the PE goroutines have not started
+func (s *Simulator) SetMemoryBound(maxLive int) {
 	if s.ran {
 		panic("core: SetMemoryBound after Run")
 	}
-	if maxLive <= 0 {
-		s.cfg.MaxLiveEvents, s.cfg.PressureWindow = 0, 0
-		return
-	}
-	s.cfg.MaxLiveEvents = maxLive
-	s.cfg.PressureWindow = window
-	if window <= 0 {
-		s.cfg.PressureWindow = s.cfg.defaultPressureWindow()
+	s.cfg.MaxLiveEvents = max(maxLive, 0)
+	for _, pe := range s.pes {
+		pe.horizon.maxLive = int64(s.cfg.MaxLiveEvents)
 	}
 }
 

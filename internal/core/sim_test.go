@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -200,6 +203,8 @@ func TestConfigValidation(t *testing.T) {
 		{"zero end time", Config{NumLPs: 4}},
 		{"negative end time", Config{NumLPs: 4, EndTime: -1}},
 		{"bad queue", Config{NumLPs: 4, EndTime: 10, Queue: "fibheap"}},
+		{"negative max optimism", Config{NumLPs: 4, EndTime: 10, MaxOptimism: -1}},
+		{"NaN max optimism", Config{NumLPs: 4, EndTime: 10, MaxOptimism: Time(math.NaN())}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -428,5 +433,47 @@ func TestStatsString(t *testing.T) {
 	out := stats.String()
 	if len(out) == 0 {
 		t.Fatal("empty stats rendering")
+	}
+}
+
+// TestStatsReportConfiguration: Stats carry the queue kind and horizon
+// bounds in force, and String prints them in its header.
+func TestStatsReportConfiguration(t *testing.T) {
+	_, seq := runStressSequential(t, Config{NumLPs: 8, EndTime: 10, Seed: 1, Queue: "splay"}, 3)
+	if seq.Queue != "splay" || strings.Contains(seq.String(), "horizon bounds") {
+		t.Fatalf("sequential stats: queue %q, rendering:\n%s", seq.Queue, seq)
+	}
+
+	cfg := Config{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 2, Queue: "heap",
+		BatchSize: 8, GVTInterval: 4, MaxOptimism: 8, MaxLiveEvents: 1000}
+	_, st := runStressParallel(t, cfg, 20)
+	wantCap := Time(8)
+	if runtime.GOMAXPROCS(0) <= 1 {
+		wantCap = 8.0 / optFloorDiv
+	}
+	if st.Queue != "heap" || st.OptimismCap != wantCap || st.OptimismFloor != 8.0/optFloorDiv ||
+		st.Quota != 32 || st.MaxLiveEvents != 1000 {
+		t.Fatalf("stats configuration: queue %q cap %v floor %v quota %d live %d",
+			st.Queue, st.OptimismCap, st.OptimismFloor, st.Quota, st.MaxLiveEvents)
+	}
+	out := st.String()
+	for _, want := range []string{"queue=heap", "window 0.03125..", "quota 32 events/round", "max live events 1000"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rendering lacks %q:\n%s", want, out)
+		}
+	}
+
+	// A one-PE run with a tight quota on the dense model stalls on the
+	// quota every round (see TestSpeculationQuotaBoundsDenseBootstrap).
+	dense := runDense(t, Config{NumPEs: 1, NumKPs: 8, Seed: 1, BatchSize: 16, GVTInterval: 8}, 40)
+	if dense.QuotaStalls == 0 || !strings.Contains(dense.String(), "quota stalls") {
+		t.Fatalf("tight quota never stalled (QuotaStalls %d):\n%s", dense.QuotaStalls, dense)
+	}
+	var perPE int64
+	for _, ps := range dense.PEs {
+		perPE += ps.QuotaStalls
+	}
+	if perPE != dense.QuotaStalls {
+		t.Fatalf("per-PE quota stalls sum to %d, total %d", perPE, dense.QuotaStalls)
 	}
 }

@@ -24,12 +24,13 @@ type PEStats struct {
 	// checkpoint capture and the one-time shutdown drain; token visits
 	// never wait (sender-side coverage; see gvt_async.go). GVTLatency,
 	// nonzero on PE 0 only, totals round latency from token launch to
-	// return. OptClamps counts
-	// scheduler passes where the adaptive optimism window (rather than a
-	// static bound) clamped this PE's horizon.
-	GVTWait    time.Duration
-	GVTLatency time.Duration
-	OptClamps  int64
+	// return. OptClamps counts scheduler passes whose horizon the
+	// adaptive window set, QuotaStalls those the spent speculation quota
+	// idled (see horizon.go).
+	GVTWait     time.Duration
+	GVTLatency  time.Duration
+	OptClamps   int64
+	QuotaStalls int64
 
 	// Comms counters (see mailbox.go). BatchesFlushed counts outbox
 	// batches pushed into lanes, BatchedMessages the messages they
@@ -47,7 +48,7 @@ type PEStats struct {
 	// high-water mark of this PE's executed-but-uncommitted events — the
 	// concurrent optimistic memory footprint the pressure valve bounds
 	// (and, under copy state saving, the peak live snapshot count).
-	// MemThrottles counts scheduler passes run with the valve engaged;
+	// MemThrottles counts scheduler passes whose horizon the valve set;
 	// InvariantSweeps counts in-run invariant sweeps performed
 	// (Config.InvariantSweep).
 	LivePeak        int64
@@ -98,23 +99,31 @@ type Stats struct {
 	GVTRounds          int64
 	// GVTLatency is the total round latency (launch to estimate) and
 	// GVTWait the summed per-PE time blocked at rendezvous barriers (none
-	// mid-run outside checkpoints; see PEStats). OptClamps totals the
-	// passes clamped by the adaptive optimism window (see throttle.go).
-	GVTLatency time.Duration
-	GVTWait    time.Duration
-	OptClamps  int64
-	NumPEs     int
-	NumKPs     int
-	Wall       time.Duration
-	EventRate  float64 // committed events per wall-clock second
-	Efficiency float64 // committed / processed
+	// mid-run outside checkpoints; see PEStats). OptClamps and
+	// QuotaStalls total the per-PE counts.
+	GVTLatency  time.Duration
+	GVTWait     time.Duration
+	OptClamps   int64
+	QuotaStalls int64
+	NumPEs      int
+	NumKPs      int
+	// Queue is the pending-queue kind in force; the rest are the Time
+	// Warp engine's horizon bounds (see horizon.go), zero elsewhere.
+	Queue         string
+	OptimismCap   Time
+	OptimismFloor Time
+	Quota         int
+	MaxLiveEvents int
+	Wall          time.Duration
+	EventRate     float64 // committed events per wall-clock second
+	Efficiency    float64 // committed / processed
 	// PeakLiveEvents sums the per-KP high-water marks: the optimistic
 	// memory footprint in events.
 	PeakLiveEvents int
 	// LivePeak is the largest concurrent per-PE live-event count seen on
 	// any PE — the number the pressure valve (Config.MaxLiveEvents)
-	// bounds. MemThrottles totals the passes PEs ran with the valve
-	// engaged (0 in unbounded runs); InvariantSweeps totals the in-run
+	// bounds. MemThrottles totals the passes whose horizon the valve set
+	// (0 in unbounded runs); InvariantSweeps totals the in-run
 	// invariant sweeps (Config.InvariantSweep).
 	LivePeak        int64
 	MemThrottles    int64
@@ -166,11 +175,17 @@ func (st *Stats) finishPools() {
 //
 //simlint:crosspe post-Run read; the goroutine joins order all PE counter writes before this
 func (s *Simulator) collectStats(wall time.Duration) *Stats {
+	hp := &s.pes[0].horizon
 	st := &Stats{
-		GVTRounds: s.gvtRounds.Load(),
-		NumPEs:    len(s.pes),
-		NumKPs:    len(s.kps),
-		Wall:      wall,
+		GVTRounds:     s.gvtRounds.Load(),
+		NumPEs:        len(s.pes),
+		NumKPs:        len(s.kps),
+		Queue:         s.cfg.Queue,
+		OptimismCap:   hp.max,
+		OptimismFloor: hp.floor,
+		Quota:         hp.quota,
+		MaxLiveEvents: s.cfg.MaxLiveEvents,
+		Wall:          wall,
 	}
 	for _, pe := range s.pes {
 		ps := PEStats{
@@ -186,12 +201,13 @@ func (s *Simulator) collectStats(wall time.Duration) *Stats {
 			Busy:               pe.busy,
 			GVTWait:            pe.gvtWait,
 			GVTLatency:         pe.gvtLatency,
-			OptClamps:          pe.optClamps,
+			OptClamps:          pe.clamps[clampWindow],
+			QuotaStalls:        pe.clamps[clampQuota],
 			BatchesFlushed:     pe.batchesFlushed,
 			BatchedMessages:    pe.batchedMessages,
 			MailboxPeak:        pe.mailboxPeak,
 			LivePeak:           pe.livePeak,
-			MemThrottles:       pe.memThrottles,
+			MemThrottles:       pe.clamps[clampValve],
 			InvariantSweeps:    pe.invariantSweeps,
 			Parks:              pe.parks,
 			Wakes:              pe.wakes.Load(),
@@ -222,6 +238,7 @@ func (s *Simulator) collectStats(wall time.Duration) *Stats {
 		st.GVTWait += ps.GVTWait
 		st.GVTLatency += ps.GVTLatency
 		st.OptClamps += ps.OptClamps
+		st.QuotaStalls += ps.QuotaStalls
 	}
 	if st.BatchesFlushed > 0 {
 		st.AvgBatchSize = float64(st.BatchedMessages) / float64(st.BatchesFlushed)
@@ -252,7 +269,11 @@ func (s *Simulator) collectStats(wall time.Duration) *Stats {
 // output (Attachment 3).
 func (st *Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "kernel: PEs=%d KPs=%d wall=%v\n", st.NumPEs, st.NumKPs, st.Wall.Round(time.Millisecond))
+	fmt.Fprintf(&b, "kernel: PEs=%d KPs=%d queue=%s wall=%v\n", st.NumPEs, st.NumKPs, st.Queue, st.Wall.Round(time.Millisecond))
+	if st.Quota > 0 {
+		fmt.Fprintf(&b, "  horizon bounds:     window %g..%g, quota %d events/round, max live events %d\n",
+			float64(st.OptimismFloor), float64(st.OptimismCap), st.Quota, st.MaxLiveEvents)
+	}
 	fmt.Fprintf(&b, "  events committed:   %d\n", st.Committed)
 	fmt.Fprintf(&b, "  events processed:   %d\n", st.Processed)
 	fmt.Fprintf(&b, "  events rolled back: %d\n", st.RolledBackEvents)
@@ -271,13 +292,11 @@ func (st *Stats) String() string {
 	}
 	fmt.Fprintf(&b, "  GVT rounds:         %d (avg latency %v, %v total wait)\n",
 		st.GVTRounds, avgLatency.Round(time.Microsecond), st.GVTWait.Round(time.Microsecond))
-	if st.OptClamps > 0 {
-		fmt.Fprintf(&b, "  adaptive optimism:  %d clamped passes\n", st.OptClamps)
+	if st.OptClamps > 0 || st.MemThrottles > 0 || st.QuotaStalls > 0 {
+		fmt.Fprintf(&b, "  horizon clamps:     %d window, %d memory valve, %d quota stalls\n",
+			st.OptClamps, st.MemThrottles, st.QuotaStalls)
 	}
 	fmt.Fprintf(&b, "  peak live events:   %d (peak %d concurrent on one PE)\n", st.PeakLiveEvents, st.LivePeak)
-	if st.MemThrottles > 0 {
-		fmt.Fprintf(&b, "  memory valve:       %d throttled passes\n", st.MemThrottles)
-	}
 	if st.InvariantSweeps > 0 {
 		fmt.Fprintf(&b, "  invariant sweeps:   %d in-run\n", st.InvariantSweeps)
 	}

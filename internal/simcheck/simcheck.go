@@ -498,7 +498,7 @@ const cellSweepEvery = 8
 func (in *instance) instrument(c Cell) {
 	if sim, ok := in.host.(*core.Simulator); ok {
 		if c.MaxLive > 0 {
-			sim.SetMemoryBound(c.MaxLive, 0)
+			sim.SetMemoryBound(c.MaxLive)
 		}
 		if c.Paranoid {
 			sim.SetParanoid(cellSweepEvery)
