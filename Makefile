@@ -80,11 +80,11 @@ cover:
 # three times with benchjson -best keeping the fastest sample: wall-clock
 # noise on a shared host is one-sided (interference only slows a run), so
 # best-of-three is what makes a 1.05x wall-clock gate honest.
-# The queue microbenchmark gates are absolute (speedup is splay's best
+# The queue microbenchmark gates are absolute (speedup is the heap's best
 # hold round over the ladder's within one sample, so the ratio is immune
-# to host-wide slowdowns): the ladder must beat the splay tree on the
-# mostly-increasing pattern at both gated populations. The ladder's
-# zero-steady-state-allocation property is gated by
+# to host-wide slowdowns): the ladder must beat its simple reference, the
+# heap, on the mostly-increasing pattern at both gated populations. The
+# ladder's zero-steady-state-allocation property is gated by
 # TestLadderSteadyStateAllocs, a plain test; benchjson records a measured
 # 0 as a value, so an 'allocs/op<=0' check would also work here.
 bench:
@@ -98,8 +98,8 @@ bench:
 	      -check 'KernelPHOLD/pe4:allocs/op<=1.05*baseline' \
 	      -check 'KernelTorusComms/pe4:ns/op<=1.05*baseline' \
 	      -check 'KernelTorusComms/pe4:allocs/op<=1.05*baseline' \
-	      -check 'QueueLadderVsSplay/n=100000:speedup>=1.0' \
-	      -check 'QueueLadderVsSplay/n=1000000:speedup>=1.0' \
+	      -check 'QueueLadderVsHeap/n=100000:speedup>=1.0' \
+	      -check 'QueueLadderVsHeap/n=1000000:speedup>=1.0' \
 	      -out BENCH_PR10.json
 	@echo wrote BENCH_PR10.json
 

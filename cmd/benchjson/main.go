@@ -32,8 +32,13 @@ import (
 // everything else (b.ReportMetric output) lands in Metrics keyed by unit.
 // A nil standard field is a unit the line did not report, so a measured 0
 // (say, 0 allocs/op) survives parsing and JSON round-trips as a value.
+// Pkg is the package whose header preceded the line, and Procs the
+// GOMAXPROCS the run used: the value of the name's "-N" suffix, or 1
+// where the testing package omits it.
 type Result struct {
 	Name        string             `json:"name"`
+	Pkg         string             `json:"pkg,omitempty"`
+	Procs       int                `json:"procs,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     *float64           `json:"ns_per_op,omitempty"`
 	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
@@ -89,21 +94,26 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S*)\s+(\d+)\s+(.*)$`)
 
 // gomaxprocsSuffix is the "-8" style suffix the testing package appends to
 // benchmark names when GOMAXPROCS != 1.
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
-// parseBench reads `go test -bench` output. Header lines (goos, goarch,
-// pkg, cpu) become context; unrecognised lines (PASS, ok, test logs) are
-// skipped.
+// parseBench reads `go test -bench` output. Host header lines (goos,
+// goarch, cpu) become context; a pkg header labels the results that
+// follow it, since one stream may span several packages. Unrecognised
+// lines (PASS, ok, test logs) are skipped.
 func parseBench(r io.Reader) (*File, error) {
 	f := &File{Context: map[string]string{}}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if k, v, ok := strings.Cut(line, ": "); ok && len(strings.Fields(k)) == 1 {
 			switch k {
-			case "goos", "goarch", "pkg", "cpu":
+			case "goos", "goarch", "cpu":
 				f.Context[k] = v
+				continue
+			case "pkg":
+				pkg = v
 				continue
 			}
 		}
@@ -115,9 +125,13 @@ func parseBench(r io.Reader) (*File, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchjson: bad iteration count in %q", line)
 		}
-		name := strings.TrimPrefix(m[1], "Benchmark")
-		name = gomaxprocsSuffix.ReplaceAllString(name, "")
-		res := Result{Name: name, Iterations: iters}
+		res := Result{Name: strings.TrimPrefix(m[1], "Benchmark"), Pkg: pkg, Procs: 1, Iterations: iters}
+		if sm := gomaxprocsSuffix.FindStringSubmatchIndex(res.Name); sm != nil {
+			// The suffix is all digits, so Atoi fails only on an overflow
+			// no GOMAXPROCS reaches.
+			res.Procs, _ = strconv.Atoi(res.Name[sm[2]:sm[3]])
+			res.Name = res.Name[:sm[0]]
+		}
 		fields := strings.Fields(m[3])
 		if len(fields)%2 != 0 {
 			return nil, fmt.Errorf("benchjson: unpaired value/unit in %q", line)

@@ -168,3 +168,60 @@ func TestZeroIsAValue(t *testing.T) {
 		t.Errorf("JSON must carry X's 0 allocs/op and omit Y's: %s", raw)
 	}
 }
+
+// TestProvenance: in a stream spanning two packages, each result keeps the
+// package whose header preceded it and the GOMAXPROCS its name's suffix
+// carried (1 when the testing package omitted the suffix); the host
+// context carries no package.
+func TestProvenance(t *testing.T) {
+	const stream = `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkKernelPHOLD/pe4-2   	       1	1084712432 ns/op
+BenchmarkFig5Speedup         	       1	 208644416 ns/op
+PASS
+ok  	repro	6.828s
+goos: linux
+goarch: amd64
+pkg: repro/internal/eventq
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkQueueLadderVsHeap/n=100000-16  	       1	  51209384 ns/op	         2.31 speedup
+PASS
+ok  	repro/internal/eventq	1.2s
+`
+	f, err := parseBench(strings.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name, pkg string
+		procs     int
+	}{
+		{"KernelPHOLD/pe4", "repro", 2},
+		{"Fig5Speedup", "repro", 1},
+		{"QueueLadderVsHeap/n=100000", "repro/internal/eventq", 16},
+	}
+	if len(f.Benchmarks) != len(want) {
+		t.Fatalf("got %d benchmarks, want %d", len(f.Benchmarks), len(want))
+	}
+	for i, w := range want {
+		if r := f.Benchmarks[i]; r.Name != w.name || r.Pkg != w.pkg || r.Procs != w.procs {
+			t.Errorf("result %d = {%q %q %d}, want %+v", i, r.Name, r.Pkg, r.Procs, w)
+		}
+	}
+	if _, ok := f.Context["pkg"]; ok {
+		t.Errorf("context carries a single pkg for a two-package stream: %v", f.Context)
+	}
+	raw, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := &File{}
+	if err := json.Unmarshal(raw, back); err != nil {
+		t.Fatal(err)
+	}
+	if r := back.Benchmarks[2]; r.Pkg != "repro/internal/eventq" || r.Procs != 16 {
+		t.Errorf("provenance lost in JSON round-trip: %+v", r)
+	}
+}

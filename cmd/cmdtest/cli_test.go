@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/replay"
 )
 
 var binDir string
@@ -52,6 +54,17 @@ func runExpectError(t *testing.T, tool string, args ...string) string {
 	return string(out)
 }
 
+// runExpectExit runs tool and fails the test unless it exits with code.
+func runExpectExit(t *testing.T, code int, tool string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(filepath.Join(binDir, tool), args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != code {
+		t.Fatalf("%s %v: err=%v, want exit %d:\n%s", tool, args, err, code, out)
+	}
+	return string(out)
+}
+
 // TestHotpotatoCLI covers the main binary's happy path and determinism.
 func TestHotpotatoCLI(t *testing.T) {
 	a := run(t, "hotpotato", "-n", "8", "-steps", "30", "-seed", "5", "-kernel")
@@ -88,6 +101,12 @@ func TestHotpotatoCLIFlags(t *testing.T) {
 	// A hostile optimism cap is a configuration error, not an unbounded run.
 	runExpectError(t, "hotpotato", "-n", "6", "-steps", "5", "-max-optimism", "-1")
 	runExpectError(t, "phold", "-lps", "64", "-end", "5", "-max-optimism", "NaN")
+	// The run CLIs have no -queue: they always use the kernel's default.
+	for _, c := range [][]string{{"hotpotato", "-queue", "ladder"}, {"phold", "-queue", "heap"}} {
+		if out := runExpectError(t, c[0], c[1:]...); !strings.Contains(out, "flag provided but not defined") {
+			t.Fatalf("%v: want an undefined-flag error:\n%s", c, out)
+		}
+	}
 }
 
 // TestPholdCLI covers the benchmark binary.
@@ -115,7 +134,7 @@ func TestPholdCLI(t *testing.T) {
 func TestFiguresCLI(t *testing.T) {
 	outDir := t.TempDir()
 	out := run(t, "figures", "-fig", "queues", "-steps", "5", "-progress=false", "-out", outDir)
-	if !strings.Contains(out, "heap") || !strings.Contains(out, "splay") {
+	if !strings.Contains(out, "heap") || !strings.Contains(out, "ladder") {
 		t.Fatalf("queue ablation output wrong:\n%s", out)
 	}
 	csv, err := os.ReadFile(filepath.Join(outDir, "queues.csv"))
@@ -242,6 +261,34 @@ func TestReplayCheckpointCLI(t *testing.T) {
 	}
 	runExpectError(t, "replay", "-resume", lg)
 	runExpectError(t, "replay", "-mode", "sequential", "-checkpoint-dir", ck, lg)
+	// A cadence below one GVT round is a usage error, not a checkpoint
+	// every round.
+	for _, every := range []string{"0", "-1"} {
+		runExpectExit(t, 2, "replay", "-checkpoint-dir", filepath.Join(dir, "ck"+every), "-checkpoint-every", every, lg)
+	}
+}
+
+// TestReplayDeletedQueueKind: a recording that names a queue kind this
+// build does not have (the splay tree, which older builds recorded) must
+// exit 1 with eventq's unknown-kind error, never panic.
+func TestReplayDeletedQueueKind(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "splay.replay")
+	run(t, "replay", "-record", "-model", "phold", "-queue", "heap", "-pes", "2", "-seed", "3", "-o", path)
+	lg, err := replay.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg.Spec.Queue = "splay"
+	if err := replay.WriteFile(path, lg); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"verify", "sequential"} {
+		out := runExpectExit(t, 1, "replay", "-mode", mode, path)
+		if !strings.Contains(out, `unknown queue kind "splay" (valid: heap, ladder)`) || strings.Contains(out, "panic") {
+			t.Fatalf("-mode %s: want the unknown-kind error:\n%s", mode, out)
+		}
+	}
 }
 
 // TestHotpotatoCheckpointCLI covers the stats binary's checkpoint flags: a
@@ -267,6 +314,14 @@ func TestHotpotatoCheckpointCLI(t *testing.T) {
 	}
 	runExpectError(t, "hotpotato", "-sequential", "-checkpoint-dir", ck)
 	runExpectError(t, "hotpotato", "-resume")
+	// A cadence below one GVT round is rejected, not clamped to a
+	// checkpoint every round.
+	for _, every := range []string{"0", "-1"} {
+		out := runExpectError(t, "hotpotato", append(args, "-checkpoint-every", every)...)
+		if !strings.Contains(out, "-checkpoint-every") {
+			t.Fatalf("-checkpoint-every %s: want a flag error:\n%s", every, out)
+		}
+	}
 }
 
 // TestSoaktestCLI covers the chaos harness binary: a seeded smoke soak is

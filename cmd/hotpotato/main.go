@@ -22,11 +22,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/hotpotato"
 	"repro/internal/profiling"
 	"repro/internal/replay"
@@ -48,13 +46,12 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		pes        = flag.Int("pes", 0, "processing elements (0 = GOMAXPROCS)")
 		kps        = flag.Int("kps", 64, "kernel processes (the report's model uses 64)")
-		queue      = flag.String("queue", "", "pending queue: "+strings.Join(eventq.Kinds(), ", ")+" (default "+eventq.DefaultKind+")")
 		maxOpt     = flag.Float64("max-optimism", 0, "bound speculation to this many steps beyond GVT (0 = unlimited)")
 		sequential = flag.Bool("sequential", false, "run the sequential reference engine instead of Time Warp")
 		kernel     = flag.Bool("kernel", false, "also print kernel statistics")
 		progress   = flag.Bool("progress", false, "report GVT progress to stderr during long parallel runs")
 		ckptDir    = flag.String("checkpoint-dir", "", "publish periodic checkpoints into this directory (Time Warp only)")
-		ckptN      = flag.Int("checkpoint-every", 32, "checkpoint cadence in GVT rounds")
+		ckptN      = flag.Int("checkpoint-every", 32, "checkpoint cadence in GVT rounds (>= 1)")
 		resume     = flag.Bool("resume", false, "restore -checkpoint-dir's published checkpoint before running")
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
@@ -62,6 +59,9 @@ func main() {
 	stopProf, err := prof.Start()
 	if err != nil {
 		fatal(err)
+	}
+	if *ckptN < 1 {
+		fatal(fmt.Errorf("-checkpoint-every %d: want a cadence of at least 1 GVT round", *ckptN))
 	}
 
 	policy, err := routing.ByName(*policyName)
@@ -85,7 +85,6 @@ func main() {
 		Seed:            *seed,
 		NumPEs:          *pes,
 		NumKPs:          *kps,
-		Queue:           *queue,
 		MaxOptimism:     core.Time(*maxOpt),
 	}
 	if *progress && !*sequential {

@@ -1,6 +1,6 @@
 // Command phold runs the PHOLD synthetic benchmark against the Time Warp
 // kernel and prints kernel statistics — the neutral stressor for tuning
-// PE/KP/queue parameters independent of the routing model.
+// PE/KP parameters independent of the routing model.
 //
 //	phold -lps 4096 -population 8 -remote 0.5 -end 100 -pes 4
 package main
@@ -9,10 +9,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
-	"repro/internal/eventq"
 	"repro/internal/phold"
 	"repro/internal/profiling"
 )
@@ -28,7 +26,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		pes        = flag.Int("pes", 0, "processing elements (0 = GOMAXPROCS)")
 		kps        = flag.Int("kps", 0, "kernel processes (0 = default)")
-		queue      = flag.String("queue", "", "pending queue: "+strings.Join(eventq.Kinds(), ", ")+" (default "+eventq.DefaultKind+")")
 		maxOpt     = flag.Float64("max-optimism", 0, "bound speculation to this far beyond GVT (0 = unlimited)")
 		sequential = flag.Bool("sequential", false, "run the sequential reference engine")
 	)
@@ -50,7 +47,6 @@ func main() {
 		Seed:        *seed,
 		NumPEs:      *pes,
 		NumKPs:      *kps,
-		Queue:       *queue,
 		MaxOptimism: core.Time(*maxOpt),
 	}
 

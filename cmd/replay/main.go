@@ -23,7 +23,8 @@
 // the recording — the crash-recovery path (see docs/CHECKPOINT.md).
 //
 // Verify exits 0 when the re-run reproduces every recorded fingerprint,
-// 1 when it diverges, 2 on usage or I/O errors.
+// 1 when it diverges or the log names a queue kind this build does not
+// have (it cannot reproduce), 2 on usage or I/O errors.
 package main
 
 import (
@@ -55,10 +56,13 @@ func main() {
 		faults   = flag.String("faults", "", "kernel fault plan when recording: default or burst (empty = clean)")
 		verbose  = flag.Bool("v", false, "verbose: shrink progress, full dump")
 		ckptDir  = flag.String("checkpoint-dir", "", "publish periodic checkpoints into this directory during verify")
-		ckptN    = flag.Int("checkpoint-every", simcheck.CheckpointEvery, "checkpoint cadence in GVT rounds")
+		ckptN    = flag.Int("checkpoint-every", simcheck.CheckpointEvery, "checkpoint cadence in GVT rounds (>= 1)")
 		resume   = flag.Bool("resume", false, "restore -checkpoint-dir's published checkpoint and verify the resumed run")
 	)
 	flag.Parse()
+	if *ckptN < 1 {
+		fatal(fmt.Errorf("-checkpoint-every %d: want a cadence of at least 1 GVT round", *ckptN))
+	}
 
 	logf := func(string, ...any) {}
 	if *verbose {
@@ -133,6 +137,10 @@ func main() {
 			eng = replay.EngineSequential
 		default:
 			fatal(fmt.Errorf("unknown -mode %q (verify or sequential)", *mode))
+		}
+		if err := eventq.Valid(lg.Spec.Queue); err != nil {
+			fmt.Fprintf(os.Stderr, "replay: %s cannot reproduce: %v\n", path, err)
+			os.Exit(1)
 		}
 		what := *mode
 		var diffs []string

@@ -34,15 +34,14 @@ type Config struct {
 	// executed BatchSize·GVTInterval events since the last completed GVT
 	// round stops and requests the next one. Default 16.
 	GVTInterval int
-	// Queue selects the pending-queue implementation; any kind registered
-	// in eventq is accepted ("heap", "ladder", "splay"), and an empty
-	// value selects eventq.DefaultKind, the ladder — the calendar-family
-	// structure with amortised O(1) Push/Pop on the PDES access pattern,
-	// zero steady-state allocation, and a bulk below-bound drain fast path
-	// (roughly 3x splay's kernel event rate; see DESIGN.md, "Event
-	// queue"). The committed schedule is identical for every kind — the
-	// kernel's event order is total — so the choice is purely a
-	// performance knob, enforced by simcheck's queue dimension.
+	// Queue selects the pending-queue implementation, "heap" or "ladder";
+	// an empty value selects eventq.DefaultKind, the ladder — the
+	// calendar-family structure with amortised O(1) Push/Pop on the PDES
+	// access pattern, zero steady-state allocation, and a bulk below-bound
+	// drain fast path (see DESIGN.md, "Event queue"). The heap is the
+	// simple reference the differential checker's oracle runs on. The
+	// committed schedule is identical for both — the kernel's event order
+	// is total — which simcheck's queue dimension enforces.
 	Queue string
 	// CheckInvariants enables paranoid mode: after every fossil
 	// collection against a new GVT estimate, each PE validates its

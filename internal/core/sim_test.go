@@ -117,7 +117,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 2, NumKPs: 8},
 		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 4, NumKPs: 16, BatchSize: 4, GVTInterval: 2},
 		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 4, NumKPs: 4, BatchSize: 2, GVTInterval: 1},
-		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 8, NumKPs: 64, Queue: "splay"},
+		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 8, NumKPs: 64, Queue: "heap"},
 		{NumLPs: 64, EndTime: 50, Seed: 7, NumPEs: 3, NumKPs: 7}, // uneven mapping
 	}
 	for _, cfg := range configs {
@@ -439,8 +439,8 @@ func TestStatsString(t *testing.T) {
 // TestStatsReportConfiguration: Stats carry the queue kind and horizon
 // bounds in force, and String prints them in its header.
 func TestStatsReportConfiguration(t *testing.T) {
-	_, seq := runStressSequential(t, Config{NumLPs: 8, EndTime: 10, Seed: 1, Queue: "splay"}, 3)
-	if seq.Queue != "splay" || strings.Contains(seq.String(), "horizon bounds") {
+	_, seq := runStressSequential(t, Config{NumLPs: 8, EndTime: 10, Seed: 1, Queue: "heap"}, 3)
+	if seq.Queue != "heap" || strings.Contains(seq.String(), "horizon bounds") {
 		t.Fatalf("sequential stats: queue %q, rendering:\n%s", seq.Queue, seq)
 	}
 

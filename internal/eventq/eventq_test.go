@@ -23,7 +23,7 @@ func mustNew(t testing.TB, kind string) Queue[int] {
 	return q
 }
 
-// queues returns one of each registered implementation for table-driven
+// queues returns one of each implementation for table-driven
 // tests.
 func queues(t testing.TB) map[string]Queue[int] {
 	m := make(map[string]Queue[int])
@@ -33,11 +33,11 @@ func queues(t testing.TB) map[string]Queue[int] {
 	return m
 }
 
-// TestKinds pins the registry contents: the three implementations, in
+// TestKinds pins the kind list: the two implementations, in
 // deterministic order (soak schedules index into this slice by seed).
 func TestKinds(t *testing.T) {
 	got := Kinds()
-	want := []string{"heap", "ladder", "splay"}
+	want := []string{"heap", "ladder"}
 	if len(got) != len(want) {
 		t.Fatalf("Kinds() = %v, want %v", got, want)
 	}
@@ -213,20 +213,23 @@ func TestPointerElements(t *testing.T) {
 	}
 }
 
-// TestNewUnknownKind: the constructor must reject unregistered kinds with
-// an error enumerating the valid ones, and Valid must agree.
+// TestNewUnknownKind: the constructor must reject unknown kinds — the
+// deleted splay tree included — with an error enumerating the valid ones,
+// and Valid must agree.
 func TestNewUnknownKind(t *testing.T) {
-	q, err := New[int]("fibonacci", intLess, nil)
-	if err == nil || q != nil {
-		t.Fatalf("New(fibonacci) = %v, %v; want nil, error", q, err)
-	}
-	for _, kind := range Kinds() {
-		if !strings.Contains(err.Error(), kind) {
-			t.Fatalf("error %q does not enumerate kind %q", err, kind)
+	for _, bad := range []string{"fibonacci", "splay"} {
+		q, err := New[int](bad, intLess, intKey)
+		if err == nil || q != nil {
+			t.Fatalf("New(%s) = %v, %v; want nil, error", bad, q, err)
 		}
-	}
-	if verr := Valid("fibonacci"); verr == nil {
-		t.Fatal("Valid(fibonacci) = nil, want error")
+		for _, kind := range Kinds() {
+			if !strings.Contains(err.Error(), kind) {
+				t.Fatalf("error %q does not enumerate kind %q", err, kind)
+			}
+		}
+		if verr := Valid(bad); verr == nil {
+			t.Fatalf("Valid(%s) = nil, want error", bad)
+		}
 	}
 	for _, kind := range append(Kinds(), "") {
 		if verr := Valid(kind); verr != nil {
@@ -235,19 +238,17 @@ func TestNewUnknownKind(t *testing.T) {
 	}
 }
 
-// TestLadderRequiresKey: calendar-family kinds cannot work without a key
-// projection; the constructor must say so instead of crashing later.
+// TestLadderRequiresKey: the ladder cannot work without a key projection;
+// the constructor must say so instead of crashing later.
 func TestLadderRequiresKey(t *testing.T) {
 	for _, kind := range []string{"ladder", ""} {
 		if _, err := New[int](kind, intLess, nil); err == nil {
 			t.Fatalf("New(%q) without key projection succeeded", kind)
 		}
 	}
-	// Comparison-only kinds must not require one.
-	for _, kind := range []string{"heap", "splay"} {
-		if _, err := New[int](kind, intLess, nil); err != nil {
-			t.Fatalf("New(%q) with nil key: %v", kind, err)
-		}
+	// The comparison-only heap must not require one.
+	if _, err := New[int]("heap", intLess, nil); err != nil {
+		t.Fatalf("New(heap) with nil key: %v", err)
 	}
 }
 
@@ -303,7 +304,7 @@ func TestDrainHelper(t *testing.T) {
 }
 
 // TestLadderImplementsBulkDrainer pins the type assertion the kernel
-// relies on: ladder has the fast path, heap and splay take the fallback.
+// relies on: the ladder has the fast path, the heap takes the fallback.
 func TestLadderImplementsBulkDrainer(t *testing.T) {
 	var q Queue[int]
 	q = NewLadder(intLess, intKey)
@@ -313,10 +314,6 @@ func TestLadderImplementsBulkDrainer(t *testing.T) {
 	q = NewHeap(intLess)
 	if _, ok := q.(BulkDrainer[int]); ok {
 		t.Fatal("*Heap unexpectedly implements BulkDrainer")
-	}
-	q = NewSplay(intLess)
-	if _, ok := q.(BulkDrainer[int]); ok {
-		t.Fatal("*Splay unexpectedly implements BulkDrainer")
 	}
 }
 

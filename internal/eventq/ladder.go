@@ -24,10 +24,9 @@ import "math"
 // drain order is exactly the sorted order under less and is a pure
 // function of the Push/Pop sequence — identical op sequences drain
 // identically. Elements comparing equal under less pop in insertion
-// order (FIFO ties, the same contract as Splay): bucket lists keep
-// arrival order, the refill sorts are stable, and an element pushed
-// equal to elements already in the sorted Bottom is inserted after all
-// of them. This requires key to be monotone with respect to less
+// order (FIFO ties): bucket lists keep arrival order, the refill sorts
+// are stable, and an element pushed equal to elements already in the
+// sorted Bottom is inserted after all of them. This requires key to be monotone with respect to less
 // (key(a) < key(b) implies less(a, b)); the kernel's projection —
 // recvTime under the (recvTime, dst, src, seq) comparator — satisfies
 // it, as does any "timestamp first" ordering.

@@ -177,7 +177,7 @@ func TestBaselineSweep(t *testing.T) {
 	}
 }
 
-// TestQueueAblation: every registered queue kind must run and commit
+// TestQueueAblation: both queue kinds must run and commit
 // identical work.
 func TestQueueAblation(t *testing.T) {
 	points, err := QueueAblation(Options{Steps: 10, Seed: 7, PEs: 2})

@@ -40,6 +40,11 @@ const (
 	EngOptimistic   EngineKind = "optimistic"
 )
 
+// RefQueue is the pending queue every sequential reference runs on: the
+// simple heap, never the ladder the engines default to, so a ladder
+// ordering bug shows up as a divergence instead of on both sides.
+const RefQueue = "heap"
+
 // Engines lists all engine kinds in reference-first order.
 func Engines() []EngineKind {
 	return []EngineKind{EngSequential, EngConservative, EngOptimistic}
@@ -223,7 +228,7 @@ func Smoke() Matrix {
 	}
 }
 
-// Full is the pre-merge matrix: every model, every registered queue kind,
+// Full is the pre-merge matrix: every model, both queue kinds,
 // more seeds and a second KP granularity.
 func Full() Matrix {
 	return Matrix{
@@ -418,13 +423,10 @@ func Run(m Matrix, logf func(format string, args ...any)) *Report {
 			})
 			continue
 		}
-		queue := "heap"
-		if len(m.Queues) > 0 {
-			queue = m.Queues[0]
-		}
 		for _, seed := range m.Seeds {
-			// The reference is always a clean, unmutated sequential run.
-			refCell := Cell{Model: model, Engine: EngSequential, PEs: 1, KPs: 1, Queue: queue, Seed: seed}
+			// The reference is always a clean, unmutated sequential run on
+			// RefQueue, whatever queues the matrix sweeps.
+			refCell := Cell{Model: model, Engine: EngSequential, PEs: 1, KPs: 1, Queue: RefQueue, Seed: seed}
 			ref, err := RunCell(refCell)
 			rep.Cells++
 			if err != nil {

@@ -1,6 +1,7 @@
 package simcheck
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -37,12 +38,37 @@ func TestQNetMatrix(t *testing.T) {
 		Engines: Engines(),
 		PEs:     []int{2, 4},
 		KPs:     []int{9},
-		Queues:  []string{"heap", "splay"},
+		Queues:  []string{"heap", "ladder"},
 		Seeds:   []uint64{3},
 		Faults:  []*core.Faults{nil, DefaultFaults()},
 	}, t.Logf)
 	for _, d := range rep.Divergences {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestReferenceRunsOnHeap: the oracle cell runs on the heap even when the
+// matrix sweeps only the ladder, so a ladder ordering bug cannot sit on
+// both sides of the comparison.
+func TestReferenceRunsOnHeap(t *testing.T) {
+	var refs []string
+	rep := Run(Matrix{
+		Models:  []string{"phold"},
+		Engines: []EngineKind{EngSequential},
+		PEs:     []int{1},
+		KPs:     []int{1},
+		Queues:  []string{"ladder"},
+		Seeds:   []uint64{5},
+	}, func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "ref ") {
+			refs = append(refs, line)
+		}
+	})
+	for _, d := range rep.Divergences {
+		t.Errorf("%s", d)
+	}
+	if len(refs) != 1 || !strings.Contains(refs[0], "queue=heap") {
+		t.Fatalf("reference lines %q, want one run with queue=heap", refs)
 	}
 }
 
@@ -158,12 +184,12 @@ func TestRunCellRejectsBadInput(t *testing.T) {
 func TestCellStringIsReproductionRecipe(t *testing.T) {
 	c := Cell{
 		Model: "phold", Engine: EngOptimistic, PEs: 4, KPs: 16,
-		Queue: "splay", Seed: 99,
+		Queue: "ladder", Seed: 99,
 		Faults:   &core.Faults{RollbackEvery: 2},
 		Mutation: MutBrokenReverse,
 	}
 	s := c.String()
-	for _, want := range []string{"model=phold", "engine=optimistic", "pes=4", "kps=16", "queue=splay", "seed=99", "RollbackEvery:2", "mutation=broken-reverse"} {
+	for _, want := range []string{"model=phold", "engine=optimistic", "pes=4", "kps=16", "queue=ladder", "seed=99", "RollbackEvery:2", "mutation=broken-reverse"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("cell artifact %q missing %q", s, want)
 		}

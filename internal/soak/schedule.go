@@ -82,7 +82,7 @@ const ckptOdds = 8
 func nextEpisode(src source, idx int, models []string, mutation simcheck.Mutation, paranoid bool) Episode {
 	ckpt := false
 	model := models[idx%len(models)]
-	kinds := eventq.Kinds() // registry order is deterministic, so the draw replays
+	kinds := eventq.Kinds() // a fixed order, so the draw replays
 	queue := kinds[src.Intn(len(kinds))]
 	pes := 1 + src.Intn(4)
 	kps := []int{4, 8, 16}[src.Intn(3)]

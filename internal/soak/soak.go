@@ -215,7 +215,7 @@ func runEpisode(ep Episode, cfg Config, rep *Report, digest io.Writer, logf func
 	c := ep.Cell
 	refCell := simcheck.Cell{
 		Model: c.Model, Engine: simcheck.EngSequential,
-		PEs: 1, KPs: 1, Queue: c.Queue, Seed: c.Seed,
+		PEs: 1, KPs: 1, Queue: simcheck.RefQueue, Seed: c.Seed,
 	}
 	ref, err := simcheck.RunCell(refCell)
 	rep.Cells++

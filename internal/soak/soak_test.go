@@ -11,7 +11,7 @@ import (
 )
 
 // TestScheduleDiversity: the generator must actually exercise the space it
-// claims — every registered queue kind, multiple PE shapes, conservative
+// claims — both queue kinds, multiple PE shapes, conservative
 // episodes, fault compositions of depth >= 2, and memory-bounded cells —
 // within a modest episode count, and rotate through every model.
 func TestScheduleDiversity(t *testing.T) {
